@@ -324,6 +324,8 @@ def cmd_grover(args) -> Output:
         raise ValueError(f"trials must be >= 1, got {trials}")
     seed = int(cfg["seed"])
     letter_cap = int(cfg["letter_cap"])
+    if letter_cap < 1:
+        raise ValueError(f"letter cap must be >= 1, got {letter_cap}")
     strategy_name, k = _resolve_strategy(str(cfg["strategy"]), n)
 
     closed = grover.success_after_k(n, k)
@@ -463,9 +465,20 @@ def _flatten(value, prefix=""):
     return rows
 
 
+def _null_nan(value):
+    """The report with NaN floats (moments over zero plays) replaced by None."""
+    if isinstance(value, dict):
+        return {k: _null_nan(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_nan(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
 def _emit(out: Output) -> None:
     if out.fmt == "json":
-        print(json.dumps(out.report, indent=2))
+        print(json.dumps(_null_nan(out.report), indent=2, allow_nan=False))
     elif out.fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -42,6 +42,7 @@ __all__ = [
     "play",
     "waiting_time_stats",
     "expected_stopping_index",
+    "stopping_index_variance",
 ]
 
 
@@ -147,17 +148,27 @@ class WaitingTimeStats:
 
 
 def _stopping_index(rng: np.random.Generator, target_length: int, letter_cap: int) -> int:
-    """Letters consumed until the reduced length first equals target_length."""
+    """Letters consumed until the reduced length first equals target_length.
+
+    Letters are drawn in blocks sized to the play: the first covers the exact
+    mean hitting time target_length * (target_length + 1), at least 64
+    letters, and each later block doubles up to _STREAM_BLOCK.  Block sizes
+    are multiples of 4 because uint8 draws take whole 32-bit words, so the
+    blocks give exactly the letters of one long draw and seeded plays do not
+    depend on the block sizes.
+    """
     consumed = 0
     level = 0
+    first = max(64, target_length * (target_length + 1))
+    block = min(_STREAM_BLOCK, -(-first // 4) * 4)
     while consumed < letter_cap:
-        block = rng.integers(
-            0, 2, size=min(_STREAM_BLOCK, letter_cap - consumed), dtype=np.uint8
-        )
-        used, level, hit = kernels.push_letters_until(block, level, target_length)
-        consumed += int(used)
+        size = min(block, letter_cap - consumed)
+        bits = rng.integers(0, 2, size=size, dtype=np.uint8)
+        used, level, hit = kernels.push_letters_until(bits, level, target_length)
+        consumed += used
         if hit:
             return consumed
+        block = min(2 * block, _STREAM_BLOCK)
     raise StoppingCapExceeded(
         f"no stop at reduced length {target_length} within {letter_cap} letters"
     )
@@ -189,27 +200,26 @@ def play(
 def expected_stopping_index(target_k: int) -> Fraction:
     """Exact expected letters until the reduced length first reaches 2*target_k.
 
-    First-step analysis of the letter walk (reflected at zero, lazy there
-    because B on the empty word is absorbed): with L = 2*target_k and E_i the
-    expected remaining letters from level i, E_L = 0, E_0 = 2 + E_1, and
-    E_i = 1 + (E_{i-1} + E_{i+1})/2 in between.  Solved exactly by forward
-    elimination of the tridiagonal system.
+    Folded onto the integers (see kernels.push_letters_until) the letter walk
+    is a fair +-1 walk from 0 that stops at L = 2*target_k or -L-1, a
+    gambler's ruin with mean duration L * (L + 1).
     """
     if target_k < 1:
         raise ValueError(f"target_k must be >= 1, got {target_k}")
-    level_count = 2 * target_k
-    # express E_i = a_i + b_i * E_{i+1}
-    a = [Fraction(0)] * level_count
-    b = [Fraction(0)] * level_count
-    a[0], b[0] = Fraction(2), Fraction(1)
-    for i in range(1, level_count):
-        denom = 1 - b[i - 1] / 2
-        a[i] = (1 + a[i - 1] / 2) / denom
-        b[i] = Fraction(1, 2) / denom
-    value = Fraction(0)
-    for i in range(level_count - 1, -1, -1):
-        value = a[i] + b[i] * value
-    return value
+    level = 2 * target_k
+    return Fraction(level * (level + 1))
+
+
+def stopping_index_variance(target_k: int) -> Fraction:
+    """Exact variance of the letters until the reduced length reaches 2*target_k.
+
+    The gambler's ruin duration from 0 between -(L+1) and L, with
+    L = 2*target_k, has variance L(L+1)((L+1)^2 + L^2 - 2)/3.
+    """
+    if target_k < 1:
+        raise ValueError(f"target_k must be >= 1, got {target_k}")
+    level = 2 * target_k
+    return Fraction(level * (level + 1) * ((level + 1) ** 2 + level**2 - 2), 3)
 
 
 def waiting_time_stats(

@@ -1,16 +1,10 @@
-"""Hot numeric kernels: numba-compiled loops with pure-numpy fallbacks.
+"""Hot numeric kernels, vectorised with numpy.
 
-The backend is selected once at import time.  Set ``PARRONDO_BACKEND=numpy``
-to force the fallbacks, ``PARRONDO_BACKEND=numba`` to insist on the compiled
-path (ImportError if numba is missing).  Unset, numba is used when it imports
-cleanly.  Both backends consume the same pre-drawn random inputs and produce
-identical outputs, so seeded experiments reproduce regardless of selection;
-``benchmarks/compare_backends.py`` times the two side by side.
+Random draws happen outside the kernels: each one maps pre-drawn inputs to a
+deterministic output, so seeded experiments reproduce bit for bit.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -22,22 +16,10 @@ __all__ = [
     "push_letters_until",
 ]
 
-
-def _fwht_loops(amps):
-    # unnormalised in-place Walsh-Hadamard butterflies, natural ordering
-    n = amps.size
-    h = 1
-    while h < n:
-        for i in range(0, n, 2 * h):
-            for j in range(i, i + h):
-                x = amps[j]
-                y = amps[j + h]
-                amps[j] = x + y
-                amps[j + h] = x - y
-        h *= 2
+BACKEND = "numpy"
 
 
-def fwht_inplace_numpy(amps):
+def fwht_inplace(amps):
     """Unnormalised in-place Walsh-Hadamard transform, vectorised butterflies."""
     n = amps.size
     h = 1
@@ -49,86 +31,41 @@ def fwht_inplace_numpy(amps):
         h *= 2
 
 
-def _parity_flip_loops(amps, mask):
-    for x in range(amps.size):
-        v = x & mask
-        v ^= v >> 32
-        v ^= v >> 16
-        v ^= v >> 8
-        v ^= v >> 4
-        v ^= v >> 2
-        v ^= v >> 1
-        if v & 1:
-            amps[x] = -amps[x]
-
-
-def parity_flip_inplace_numpy(amps, mask):
+def parity_flip_inplace(amps, mask):
     """Negate amplitudes at indices with odd popcount(index & mask)."""
     idx = np.arange(amps.size, dtype=np.uint64)
     odd = (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(bool)
     amps[odd] *= -1.0
 
 
-def _ring_walk_loops(increments, modulus, win_table):
-    j = 0
-    wins = 0
-    for t in range(increments.size):
-        j = (j + increments[t]) % modulus
-        wins += win_table[j]
-    return wins
-
-
-def ring_walk_wins_numpy(increments, modulus, win_table):
+def ring_walk_wins(increments, modulus, win_table):
     """Winning-round count of the wheel walk started at position 0."""
     positions = np.cumsum(increments) % modulus
     return int(win_table[positions].sum())
 
 
-def _push_letters_loops(bits, level, target):
-    # bits: 1 = A (sign flip at the target index), 0 = B (diffusion)
-    for t in range(bits.size):
-        if bits[t] == 1:
-            level = level - 1 if level & 1 else level + 1
-        elif level & 1:
-            level += 1
-        elif level > 0:
-            level -= 1
-        if level == target:
-            return t + 1, level, True
-    return bits.size, level, False
+def push_letters_until(bits, level, target):
+    """Feed letters into the reduced length until it first equals target.
 
+    bits holds 0/1 letters (1 = A, 0 = B); level is the reduced length before
+    the first letter.  Returns (letters consumed, reduced length after them,
+    whether target was hit).  The start level itself never counts as a hit.
 
-_choice = os.environ.get("PARRONDO_BACKEND", "").strip().lower()
-if _choice not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"PARRONDO_BACKEND must be 'numba' or 'numpy', got {_choice!r}"
-    )
-
-_njit = None
-if _choice != "numpy":
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _choice == "numba":
-            raise
-        _njit = None
-
-if _njit is not None:
-    BACKEND = "numba"
-    fwht_inplace_numba = _njit(cache=True)(_fwht_loops)
-    parity_flip_inplace_numba = _njit(cache=True)(_parity_flip_loops)
-    ring_walk_wins_numba = _njit(cache=True)(_ring_walk_loops)
-    push_letters_until_numba = _njit(cache=True)(_push_letters_loops)
-
-    fwht_inplace = fwht_inplace_numba
-    parity_flip_inplace = parity_flip_inplace_numba
-    ring_walk_wins = ring_walk_wins_numba
-    push_letters_until = push_letters_until_numba
-else:
-    BACKEND = "numpy"
-    fwht_inplace = fwht_inplace_numpy
-    parity_flip_inplace = parity_flip_inplace_numpy
-    ring_walk_wins = ring_walk_wins_numpy
-    # the reflecting automaton is inherently sequential; the fallback is the
-    # same loop uncompiled
-    push_letters_until = _push_letters_loops
+    The reduced length l is the fold of a walk Z on the integers: l = Z for
+    Z >= 0 and l = -Z-1 below.  In Z every letter is a +-1 step, the lazy
+    reflection at l = 0 included (it is the step between Z = 0 and Z = -1).
+    Z steps up exactly when the letter differs from Z's parity, and that
+    parity is the start parity flipped once per letter, so the whole walk is
+    one cumsum.  Feller vol. 1, XIV.3 treats this walk as a gambler's ruin.
+    """
+    size = bits.size
+    if size == 0:
+        return 0, level, False
+    up = bits ^ (np.arange(level, level + size, dtype=np.int64) & 1)
+    z = level + np.cumsum(2 * up - 1)
+    reduced = z ^ (z >> 63)  # l = Z for Z >= 0, -Z-1 (= ~Z) below
+    hits = reduced == target
+    t = int(hits.argmax())
+    if hits[t]:
+        return t + 1, int(reduced[t]), True
+    return size, int(reduced[-1]), False

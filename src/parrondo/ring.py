@@ -308,8 +308,8 @@ def combined_rate(combined: CombinedRingGame) -> RateReport:
 def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateReport:
     """Monte Carlo play from position 0; returns exact empirical frequencies.
 
-    A fixed seed fixes the whole trajectory, so results are reproducible and
-    identical across kernel backends (the random draws happen up front).
+    A fixed seed fixes the whole trajectory, so results are reproducible (the
+    random draws happen up front, outside the kernel).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

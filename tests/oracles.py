@@ -61,25 +61,10 @@ def symbolic_push(word, letter):
     return word
 
 
-def exact_hitting_time(level):
-    """Expected steps for the lazy-reflected +-1 walk to first reach `level`.
-
-    Full first-step-analysis linear system over Fractions, solved with plain
-    Gaussian elimination: E_level = 0, E_0 = 2 + E_1, and
-    E_i = 1 + (E_{i-1} + E_{i+1}) / 2 in between.
-    """
-    size = level  # unknowns E_0 .. E_{level-1}
-    aug = [[Fraction(0)] * (size + 1) for _ in range(size)]
-    aug[0][0] = Fraction(1)
-    if size > 1:
-        aug[0][1] = Fraction(-1)
-    aug[0][size] = Fraction(2)
-    for i in range(1, size):
-        aug[i][i] = Fraction(1)
-        aug[i][i - 1] = Fraction(-1, 2)
-        if i + 1 < size:
-            aug[i][i + 1] = Fraction(-1, 2)
-        aug[i][size] = Fraction(1)
+def _solve_fraction(matrix, rhs):
+    """Solve matrix @ x = rhs over Fractions with plain Gauss-Jordan elimination."""
+    size = len(rhs)
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     for col in range(size):
         pivot = next(r for r in range(col, size) if aug[r][col] != 0)
         aug[col], aug[pivot] = aug[pivot], aug[col]
@@ -89,7 +74,67 @@ def exact_hitting_time(level):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return aug[0][size]
+    return [row[size] for row in aug]
+
+
+def _lazy_walk(level):
+    """Transient block P of the lazy-reflected +-1 walk absorbed at `level`, and I - P.
+
+    The transient states are 0 .. level-1.  From i > 0 the walk moves to i-1
+    or i+1 with probability 1/2 each; from 0 it stays or moves to 1.
+    """
+    half = Fraction(1, 2)
+    step = [[Fraction(0)] * level for _ in range(level)]
+    step[0][0] = half
+    for i in range(level):
+        for j in (i - 1, i + 1):
+            if 0 <= j < level:
+                step[i][j] = half
+    lhs = [
+        [Fraction(int(i == j)) - step[i][j] for j in range(level)]
+        for i in range(level)
+    ]
+    return step, lhs
+
+
+def exact_hitting_time(level):
+    """Expected steps for the lazy-reflected +-1 walk to first reach `level`.
+
+    First-step analysis over Fractions: (I - P) E = 1.
+    """
+    _, lhs = _lazy_walk(level)
+    return _solve_fraction(lhs, [Fraction(1)] * level)[0]
+
+
+def exact_hitting_time_variance(level):
+    """Variance of the steps for the lazy-reflected +-1 walk to first reach `level`.
+
+    The time T is 1 + T' for the time T' left after the first step, so the
+    second moments S solve (I - P) S = 1 + 2 P E.
+    """
+    step, lhs = _lazy_walk(level)
+    first = _solve_fraction(lhs, [Fraction(1)] * level)
+    rhs = [1 + 2 * sum(p * e for p, e in zip(row, first)) for row in step]
+    second = _solve_fraction(lhs, rhs)
+    return second[0] - first[0] ** 2
+
+
+def push_letters_loops(bits, level, target):
+    """Reference letter automaton: one Python step per letter.
+
+    bits: 1 = A (sign flip at the target index), 0 = B (diffusion).  Same
+    contract as kernels.push_letters_until.
+    """
+    for t in range(bits.size):
+        if bits[t] == 1:
+            level = level - 1 if level & 1 else level + 1
+        elif level & 1:
+            level += 1
+        elif level > 0:
+            level -= 1
+        if level == target:
+            return t + 1, level, True
+    return bits.size, level, False
 
 
 def bv_success_dense(n, alpha, unflipped):

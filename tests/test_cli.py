@@ -203,6 +203,40 @@ def test_grover_letter_cap_exit_code(capsys):
     assert "cap exceeded 3" in out
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_grover_json_is_strict_when_every_play_hits_the_cap(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "grover",
+        "-n",
+        "4",
+        "--letter-cap",
+        "1",
+        "--trials",
+        "5",
+        "--sweep",
+        "--format",
+        "json",
+    )
+    assert code == 3
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["waiting"]["cap_exceeded"] == 5
+    assert report["waiting"]["mean"] is None
+    assert report["waiting"]["variance"] is None
+    assert [row["mean_waiting_time"] for row in report["sweep"]][1:] == [None] * 6
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_grover_rejects_non_positive_letter_cap(capsys, cap):
+    code, out, err = run_cli(capsys, "grover", "-n", "4", "--letter-cap", cap)
+    assert code == 2
+    assert out == ""
+    assert "letter cap" in err
+
+
 def test_grover_sweep_csv_columns(capsys):
     code, out, _ = run_cli(
         capsys,

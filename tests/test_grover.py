@@ -155,6 +155,42 @@ def test_letter_stream_stays_at_zero_until_first_a():
     assert (consumed, level, hit) == (4, 1, True)
 
 
+def _stopping_index_fixed_blocks(rng, target_length, letter_cap):
+    # the original draw schedule: fixed 16,384-letter blocks into the loop reference
+    consumed = 0
+    level = 0
+    while consumed < letter_cap:
+        bits = rng.integers(0, 2, size=min(1 << 14, letter_cap - consumed), dtype=np.uint8)
+        used, level, hit = oracles.push_letters_loops(bits, level, target_length)
+        consumed += used
+        if hit:
+            return consumed
+    return None
+
+
+def test_stopping_index_matches_fixed_block_reference():
+    # targets 2 and 10 start below 64 and off a multiple of 4; 40 and 100
+    # double their draws, 100 up to the block ceiling; caps cut draws short
+    for target in (2, 10, 40, 100):
+        for cap in (1, 3, 7, 50, 111, 113, 1001, 20_001, grover.DEFAULT_LETTER_CAP):
+            for seed in range(12):
+                want = _stopping_index_fixed_blocks(np.random.default_rng(seed), target, cap)
+                rng = np.random.default_rng(seed)
+                if want is None:
+                    with pytest.raises(grover.StoppingCapExceeded):
+                        grover._stopping_index(rng, target, cap)
+                else:
+                    assert grover._stopping_index(rng, target, cap) == want
+
+
+def test_uint8_draws_in_pieces_of_four_match_one_draw():
+    # _stopping_index relies on this: uint8 draws take whole 32-bit words
+    whole = np.random.default_rng(7).integers(0, 2, size=1000, dtype=np.uint8)
+    rng = np.random.default_rng(7)
+    pieces = [rng.integers(0, 2, size=size, dtype=np.uint8) for size in (64, 4, 132, 800)]
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
 def test_play_cap_is_a_loud_error():
     with pytest.raises(grover.StoppingCapExceeded):
         grover.play(3, 1, grover.StoppingStrategy(50), seed=1, letter_cap=30)
@@ -168,6 +204,15 @@ def test_expected_stopping_index_closed_form():
         assert value == oracles.exact_hitting_time(level)
     with pytest.raises(ValueError):
         grover.expected_stopping_index(0)
+
+
+def test_stopping_index_variance_closed_form():
+    for k, want in [(1, 22), (2, 260), (4, 3432), (13, 328302)]:
+        value = grover.stopping_index_variance(k)
+        assert value == want
+        assert value == oracles.exact_hitting_time_variance(2 * k)
+    with pytest.raises(ValueError):
+        grover.stopping_index_variance(0)
 
 
 def test_waiting_time_stats_small_target():
@@ -187,6 +232,10 @@ def test_waiting_time_stats_level_ten():
     exact = float(grover.expected_stopping_index(5))
     standard_error = math.sqrt(stats.variance / stats.trials)
     assert abs(stats.mean - exact) <= 4 * standard_error
+    # the stopping index has kurtosis about 8.5, so the variance of 10^4
+    # plays has a relative standard error near 0.028; allow four of them
+    exact_variance = float(grover.stopping_index_variance(5))
+    assert abs(stats.variance - exact_variance) / exact_variance <= 0.12
 
 
 def test_waiting_time_stats_counts_cap_hits_separately():

@@ -1,74 +1,16 @@
-"""Backend equivalence: numba kernels must match the numpy fallbacks exactly."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Numeric kernels against hand values and their loop references."""
 
 import numpy as np
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parrondo import kernels
 
-SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
-HAS_NUMBA = kernels.BACKEND == "numba"
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba backend not active")
-
-
-def _env_with(**extra):
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    return env
+import oracles
 
 
 def test_backend_is_declared():
-    assert kernels.BACKEND in ("numba", "numpy")
-
-
-@needs_numba
-@pytest.mark.parametrize("n_qubits", [1, 2, 3, 6, 10, 14])
-def test_fwht_backends_bit_identical(n_qubits):
-    rng = np.random.default_rng(100 + n_qubits)
-    base = rng.standard_normal(1 << n_qubits)
-    via_numpy = base.copy()
-    via_numba = base.copy()
-    kernels.fwht_inplace_numpy(via_numpy)
-    kernels.fwht_inplace_numba(via_numba)
-    assert np.array_equal(via_numpy, via_numba)
-
-
-@needs_numba
-@pytest.mark.parametrize("mask", [0, 1, 0b101, 0b111111, 1 << 9])
-def test_parity_flip_backends_bit_identical(mask):
-    rng = np.random.default_rng(7)
-    base = rng.standard_normal(1 << 10)
-    via_numpy = base.copy()
-    via_numba = base.copy()
-    kernels.parity_flip_inplace_numpy(via_numpy, mask)
-    kernels.parity_flip_inplace_numba(via_numba, mask)
-    assert np.array_equal(via_numpy, via_numba)
-
-
-@needs_numba
-def test_ring_walk_backends_identical():
-    rng = np.random.default_rng(11)
-    modulus = 21
-    increments = rng.integers(0, 50, size=100_000)
-    win = rng.integers(0, 2, size=modulus).astype(np.uint8)
-    assert kernels.ring_walk_wins_numpy(increments, modulus, win) == int(
-        kernels.ring_walk_wins_numba(increments, modulus, win)
-    )
-
-
-@needs_numba
-@pytest.mark.parametrize("start,target", [(0, 2), (0, 8), (3, 4), (5, 2)])
-def test_letter_stream_backends_identical(start, target):
-    rng = np.random.default_rng(13)
-    bits = rng.integers(0, 2, size=5000, dtype=np.uint8)
-    plain = kernels._push_letters_loops(bits, start, target)
-    jitted = kernels.push_letters_until_numba(bits, start, target)
-    assert plain == tuple(jitted)
+    assert kernels.BACKEND == "numpy"
 
 
 def test_fwht_matches_hand_sums():
@@ -77,28 +19,42 @@ def test_fwht_matches_hand_sums():
     assert np.array_equal(amps, np.array([10.0, -2.0, -4.0, 0.0]))
 
 
-def test_env_flag_forces_numpy_fallback():
-    code = (
-        "from parrondo import kernels; "
-        "print(kernels.BACKEND); "
-        "print(kernels.fwht_inplace is kernels.fwht_inplace_numpy)"
+@settings(deadline=None, max_examples=300)
+@example(bits=[], level=3, target=4)  # size 0
+@example(bits=[1, 0], level=5, target=3)  # target below the start level
+@example(bits=[0, 0], level=2, target=2)  # target at the start level
+@example(bits=[1, 0, 1, 0], level=0, target=4)  # hit on the last letter
+@example(bits=[0, 0, 0, 1, 1, 0], level=0, target=2)  # reflection at level 0
+@given(
+    bits=st.lists(st.integers(0, 1), max_size=400),
+    level=st.integers(0, 30),
+    target=st.integers(0, 30),
+)
+def test_push_letters_matches_loop_reference(bits, level, target):
+    bits = np.array(bits, dtype=np.uint8)
+    assert kernels.push_letters_until(bits, level, target) == oracles.push_letters_loops(
+        bits, level, target
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=_env_with(PARRONDO_BACKEND="numpy"),
-        check=True,
-    )
-    assert proc.stdout.split() == ["numpy", "True"]
 
 
-def test_env_flag_rejects_unknown_backend():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import parrondo.kernels"],
-        capture_output=True,
-        text=True,
-        env=_env_with(PARRONDO_BACKEND="cuda"),
-    )
-    assert proc.returncode != 0
-    assert "PARRONDO_BACKEND" in proc.stderr
+def test_push_letters_edge_cases():
+    empty = np.zeros(0, dtype=np.uint8)
+    assert kernels.push_letters_until(empty, 3, 4) == (0, 3, False)
+    # reflection at level 0: B is absorbed, so the walk waits there
+    assert kernels.push_letters_until(np.array([0, 0, 1], np.uint8), 0, 1) == (3, 1, True)
+    assert kernels.push_letters_until(np.array([1, 1, 0, 0], np.uint8), 0, 2) == (4, 0, False)
+    # target below the start level, and the start level itself is no hit
+    assert kernels.push_letters_until(np.array([1, 0], np.uint8), 5, 3) == (2, 3, True)
+    assert kernels.push_letters_until(np.array([0, 0], np.uint8), 2, 2) == (2, 2, True)
+    # a hit on the last letter
+    bits = np.array([1, 0, 1, 0], np.uint8)
+    assert kernels.push_letters_until(bits, 0, 4) == (4, 4, True)
+
+
+def test_push_letters_long_block_matches_loop_reference():
+    rng = np.random.default_rng(13)
+    bits = rng.integers(0, 2, size=50_000, dtype=np.uint8)
+    for level, target in [(0, 2), (0, 8), (3, 4), (5, 2), (0, 120), (0, 10_000)]:
+        assert kernels.push_letters_until(bits, level, target) == oracles.push_letters_loops(
+            bits, level, target
+        )
