@@ -55,6 +55,38 @@ GROVER_DEFAULTS = {
 REPRODUCE_DEFAULTS = {"format": "table"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_moduli(value) -> bool:
+    return isinstance(value, str) or (
+        isinstance(value, list) and all(_is_int(v) for v in value)
+    )
+
+
+_INT = ("an integer", _is_int)
+_BOOL = ("a boolean", lambda value: isinstance(value, bool))
+_STR = ("a string", lambda value: isinstance(value, str))
+
+# JSON type each config key must have: the type of the flag it stands for
+CONFIG_TYPES = {
+    "moduli": ("a string or a list of integers", _is_moduli),
+    "steps": _INT,
+    "n": _INT,
+    "alpha": _INT,
+    "mode": _STR,
+    "trials": _INT,
+    "exhaustive": _BOOL,
+    "samples": _INT,
+    "strategy": _STR,
+    "sweep": _BOOL,
+    "letter_cap": _INT,
+    "seed": _INT,
+    "format": _STR,
+}
+
+
 @dataclass
 class Output:
     report: dict
@@ -86,6 +118,12 @@ def _load_config(path: str, defaults: dict) -> dict:
     unknown = sorted(set(config) - set(defaults))
     if unknown:
         raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+    for key, value in config.items():
+        want, accepts = CONFIG_TYPES[key]
+        if not accepts(value):
+            raise ValueError(
+                f"config file {path}: {key} must be {want}, got {json.dumps(value)}"
+            )
     return config
 
 
@@ -111,6 +149,10 @@ def cmd_ring(args) -> Output:
     moduli = _parse_moduli(cfg["moduli"])
     game = ring.CombinedRingGame.from_moduli(moduli)
     size = game.modulus_product
+    if size > ring.MAX_POSITIONS:
+        raise ValueError(
+            f"moduli product {size} exceeds the limit of {ring.MAX_POSITIONS} positions"
+        )
 
     singles = [ring.single_game_rate(g) for g in game.games]
     matrix = ring.transition_matrix(game)
@@ -204,6 +246,9 @@ def cmd_bv(args) -> Output:
     trials = int(cfg["trials"])
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    samples = int(cfg["samples"])
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     seed = int(cfg["seed"])
 
     children = np.random.SeedSequence(seed).spawn(trials)
@@ -273,7 +318,6 @@ def cmd_bv(args) -> Output:
             f"(closed form {0.25 + 2.0 ** -(n + 1):.9f})"
         )
 
-    samples = int(cfg["samples"])
     if samples > 0:
         state = statevec.hadamard_all(statevec.basis_state(n, 0))
         state = bv.noisy_oracle(state, results[0].realization)

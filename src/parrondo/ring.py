@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import kernels
 
 __all__ = [
+    "MAX_POSITIONS",
     "NonUniqueStationaryError",
     "RotationGame",
     "CombinedRingGame",
@@ -35,8 +36,19 @@ __all__ = [
 ]
 
 
+# Largest ring (product of the moduli) the CLI accepts.  The exact stationary
+# law and its JSON report grow peak memory by about 1.1 KB per position
+# (315 MB at M = 255,255); the next wheel, 19, would need several GB.
+MAX_POSITIONS = 2**18
+
+
 class NonUniqueStationaryError(ValueError):
     """The chain admits more than one stationary distribution."""
+
+
+def _check_modulus(m: int) -> None:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 3 or m % 2 == 0:
+        raise ValueError(f"modulus must be an odd integer >= 3, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +58,7 @@ class RotationGame:
     modulus: int
 
     def __post_init__(self):
-        m = self.modulus
-        if not isinstance(m, int) or isinstance(m, bool) or m < 3 or m % 2 == 0:
-            raise ValueError(f"modulus must be an odd integer >= 3, got {m!r}")
+        _check_modulus(self.modulus)
 
 
 @dataclass(frozen=True)
@@ -84,47 +94,37 @@ class CombinedRingGame:
 
 
 class TransitionMatrix:
-    """Row-stochastic square matrix of exact rationals, stored as sparse rows."""
+    """Circulant transition matrix on Z_size, fixed by one exact offset law.
 
-    def __init__(self, rows: Sequence[dict[int, Fraction]]):
-        size = len(rows)
-        clean = []
-        for i, row in enumerate(rows):
-            tidy: dict[int, Fraction] = {}
-            total = Fraction(0)
-            for j, p in row.items():
-                p = Fraction(p)
-                if not (0 <= j < size):
-                    raise ValueError(f"column index {j} outside 0..{size - 1}")
-                if p < 0:
-                    raise ValueError(f"negative entry {p} at ({i}, {j})")
-                if p:
-                    tidy[j] = p
-                    total += p
-            if total != 1:
-                raise ValueError(f"row {i} sums to {total}, expected exactly 1")
-            clean.append(tidy)
+    Every position i moves to i + offset (mod size) with probability
+    offsets[offset], so entry (i, j) depends only on (j - i) mod size.
+    """
+
+    def __init__(self, size: int, offsets: dict[int, Fraction]):
+        law: dict[int, Fraction] = {}
+        for offset, p in offsets.items():
+            p = Fraction(p)
+            if not (0 <= offset < size):
+                raise ValueError(f"offset {offset} outside 0..{size - 1}")
+            if p < 0:
+                raise ValueError(f"negative probability {p} at offset {offset}")
+            if p:
+                law[offset] = p
+        total = sum(law.values(), Fraction(0))
+        if total != 1:
+            raise ValueError(f"offset law sums to {total}, expected exactly 1")
         self.size = size
-        self.rows: tuple[dict[int, Fraction], ...] = tuple(clean)
+        self.offsets = law
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, Fraction(0))
+        return self.offsets.get((j - i) % self.size, Fraction(0))
 
     def column_sums(self) -> list[Fraction]:
-        sums = [Fraction(0)] * self.size
-        for row in self.rows:
-            for j, p in row.items():
-                sums[j] += p
-        return sums
+        # column j collects offsets[(j - i) % size] over all i: the whole law
+        return [sum(self.offsets.values(), Fraction(0))] * self.size
 
     def is_doubly_stochastic(self) -> bool:
         return all(s == 1 for s in self.column_sums())
-
-    def dense(self) -> list[list[Fraction]]:
-        zero = Fraction(0)
-        return [
-            [row.get(j, zero) for j in range(self.size)] for row in self.rows
-        ]
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,6 @@ class RateReport:
             raise ValueError("rate must equal 2*win_probability - 1")
 
 
-def _check_modulus(modulus: int) -> None:
-    if not isinstance(modulus, (int, np.integer)) or modulus < 3 or modulus % 2 == 0:
-        raise ValueError(f"modulus must be an odd integer >= 3, got {modulus!r}")
-
-
 def winning_positions(modulus: int) -> frozenset[int]:
     """Indices j of Z_M whose pointer angle 2*pi*j/M lies in the upper half-circle.
 
@@ -191,7 +186,8 @@ def transition_matrix(combined: CombinedRingGame) -> TransitionMatrix:
 
     Picking game i (probability 1/G) and rotation a (probability 1/m_i) moves
     j -> j + (M/m_i)*a (mod M); coinciding displacements accumulate, e.g. the
-    a=0 branch of every game piles onto the diagonal.  The result is circulant.
+    a=0 branch of every game piles onto offset 0.  The matrix is the circulant
+    of that offset law, which has at most sum(m_i) entries.
     """
     M = combined.modulus_product
     G = len(combined.games)
@@ -203,93 +199,26 @@ def transition_matrix(combined: CombinedRingGame) -> TransitionMatrix:
         for a in range(m):
             off = (stride * a) % M
             offsets[off] = offsets.get(off, Fraction(0)) + p
-    rows = [
-        {(j + off) % M: p for off, p in offsets.items()} for j in range(M)
-    ]
-    return TransitionMatrix(rows)
+    return TransitionMatrix(M, offsets)
 
 
 def stationary_distribution(matrix: TransitionMatrix) -> Distribution:
     """Unique stationary distribution of the chain, in exact rationals.
 
-    For a doubly stochastic matrix the uniform vector is checked directly
-    against pi P = pi (the column-sum test IS that equation, exactly) and
-    uniqueness follows from strong connectivity of the support graph; this
-    keeps product chains with hundreds of states cheap.  Any other matrix
-    goes through exact Gauss-Jordan elimination of (P^T - I) plus the
-    normalisation row, which detects rank deficiencies.
+    A circulant is a random walk on the group Z_M, so the uniform law is
+    always stationary; it is the only one exactly when the support offsets
+    generate Z_M, i.e. gcd(M, offsets) = 1.
 
     Raises NonUniqueStationaryError when the distribution is not unique.
     """
     M = matrix.size
-    if matrix.is_doubly_stochastic():
-        if not _strongly_connected(matrix):
-            raise NonUniqueStationaryError(
-                "support graph is not strongly connected; "
-                "the stationary distribution is not unique"
-            )
-        return Distribution((Fraction(1, M),) * M)
-    return _solve_stationary_dense(matrix)
-
-
-def _strongly_connected(matrix: TransitionMatrix) -> bool:
-    forward = [list(row.keys()) for row in matrix.rows]
-    backward: list[list[int]] = [[] for _ in range(matrix.size)]
-    for i, row in enumerate(matrix.rows):
-        for j in row:
-            backward[j].append(i)
-    return _reaches_all(forward) and _reaches_all(backward)
-
-
-def _reaches_all(adjacency: list[list[int]]) -> bool:
-    seen = bytearray(len(adjacency))
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        i = stack.pop()
-        for j in adjacency[i]:
-            if not seen[j]:
-                seen[j] = 1
-                count += 1
-                stack.append(j)
-    return count == len(adjacency)
-
-
-def _solve_stationary_dense(matrix: TransitionMatrix) -> Distribution:
-    # Gauss-Jordan on the (M+1) x (M+1) augmented system [(P^T - I) | 0]
-    # stacked with the normalisation row [1 ... 1 | 1].  A column without a
-    # pivot means rank(P^T - I) < M - 1, i.e. several stationary solutions.
-    M = matrix.size
-    zero = Fraction(0)
-    rows = [[zero] * (M + 1) for _ in range(M + 1)]
-    for i, row in enumerate(matrix.rows):
-        for j, p in row.items():
-            rows[j][i] += p
-    for d in range(M):
-        rows[d][d] -= 1
-    rows[M] = [Fraction(1)] * M + [Fraction(1)]
-
-    n_rows = M + 1
-    for c in range(M):
-        pivot = next((k for k in range(c, n_rows) if rows[k][c] != 0), None)
-        if pivot is None:
-            raise NonUniqueStationaryError(
-                f"rank deficiency at column {c}; "
-                "the stationary distribution is not unique"
-            )
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = Fraction(1) / rows[c][c]
-        rows[c] = [v * inv for v in rows[c]]
-        pivot_row = rows[c]
-        for k in range(n_rows):
-            if k != c and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [v - f * w for v, w in zip(rows[k], pivot_row)]
-    if rows[M][M] != 0:
-        # cannot happen for a row-stochastic matrix: a stationary vector exists
-        raise ValueError("inconsistent stationary system")
-    return Distribution(tuple(rows[c][M] for c in range(M)))
+    g = math.gcd(M, *matrix.offsets)
+    if g != 1:
+        raise NonUniqueStationaryError(
+            f"support offsets generate only the multiples of {g} in Z_{M}; "
+            "the stationary distribution is not unique"
+        )
+    return Distribution((Fraction(1, M),) * M)
 
 
 def single_game_rate(game: RotationGame) -> RateReport:

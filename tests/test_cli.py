@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from parrondo import cli
+from parrondo import cli, ring
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -46,6 +46,14 @@ def test_ring_requires_moduli(capsys):
     code, _, err = run_cli(capsys, "ring")
     assert code == 2
     assert "moduli" in err
+
+
+def test_ring_rejects_more_positions_than_the_limit(capsys):
+    code, out, err = run_cli(capsys, "ring", "--moduli", "3,5,7,11,13,17,19")
+    assert code == 2
+    assert out == ""
+    assert "4849845" in err
+    assert f"limit of {ring.MAX_POSITIONS} positions" in err
 
 
 def test_ring_json_schema(capsys):
@@ -133,6 +141,13 @@ def test_bv_sampling_demo(capsys):
     )
     assert code == 0
     assert "sampled measurements" in out
+
+
+def test_bv_rejects_negative_samples(capsys):
+    code, out, err = run_cli(capsys, "bv", "-n", "4", "--samples", "-1")
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
 
 
 def test_grover_canonical_win(capsys):
@@ -284,6 +299,25 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ring", "--config", str(config))
     assert code == 2
     assert "unknown keys" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["bv", "-n", "3"], {"exhaustive": "false"}, "exhaustive must be a boolean"),
+        (["bv", "-n", "3"], {"trials": 2.7}, "trials must be an integer"),
+        (["grover", "-n", "3"], {"trials": True}, "trials must be an integer"),
+        (["ring"], {"moduli": [3.9, 7]}, "moduli must be a string or a list of integers"),
+    ],
+    ids=["string-bool", "float-int", "bool-int", "float-moduli"],
+)
+def test_config_values_must_match_flag_types(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_missing_config_file_is_a_config_error(capsys):

@@ -71,16 +71,19 @@ def test_transition_matrix_combined_values():
 
 def test_transition_matrix_single_game_rows_are_uniform():
     matrix = ring.transition_matrix(ring.CombinedRingGame.from_moduli((3,)))
-    assert matrix.dense() == [[Fraction(1, 3)] * 3 for _ in range(3)]
+    rows = [[matrix.entry(i, j) for j in range(3)] for i in range(3)]
+    assert rows == [[Fraction(1, 3)] * 3 for _ in range(3)]
 
 
 def test_transition_matrix_validation():
     with pytest.raises(ValueError, match="sums to"):
-        ring.TransitionMatrix([{0: Fraction(1, 2)}, {1: Fraction(1)}])
+        ring.TransitionMatrix(2, {0: Fraction(1, 2)})
     with pytest.raises(ValueError, match="negative"):
-        ring.TransitionMatrix([{0: Fraction(2), 1: Fraction(-1)}, {1: Fraction(1)}])
-    with pytest.raises(ValueError, match="column index"):
-        ring.TransitionMatrix([{5: Fraction(1)}])
+        ring.TransitionMatrix(2, {0: Fraction(2), 1: Fraction(-1)})
+    with pytest.raises(ValueError, match="offset 5 outside"):
+        ring.TransitionMatrix(3, {5: Fraction(1)})
+    with pytest.raises(ValueError, match="offset -1 outside"):
+        ring.TransitionMatrix(3, {-1: Fraction(1)})
 
 
 def test_distribution_validation():
@@ -107,45 +110,58 @@ def test_stationary_distribution_uniform_cases():
         assert dist.size == game.modulus_product
 
 
+def _dense_rows(matrix):
+    return [
+        [matrix.entry(i, j) for j in range(matrix.size)] for i in range(matrix.size)
+    ]
+
+
 def test_dense_solver_agrees_with_candidate_path():
-    # force the Gauss-Jordan path on the doubly stochastic 21-state chain and
-    # on single games; both must return the same uniform distribution
-    for moduli in ((3, 7), (3,), (5,)):
+    # the oracle's Gauss-Jordan solution of pi P = pi, sum(pi) = 1, must be
+    # the uniform law the package returns without solving anything
+    for moduli in ((3,), (5,), (3, 7), (3, 11)):
         matrix = ring.transition_matrix(ring.CombinedRingGame.from_moduli(moduli))
-        dense = ring._solve_stationary_dense(matrix)
-        assert dense == ring.stationary_distribution(matrix)
-        assert dense.is_uniform()
-
-
-def test_dense_solver_on_birth_death_chain():
-    half, quarter = Fraction(1, 2), Fraction(1, 4)
-    matrix = ring.TransitionMatrix(
-        [
-            {0: half, 1: half},
-            {0: quarter, 1: half, 2: quarter},
-            {1: half, 2: half},
-        ]
-    )
-    assert not matrix.is_doubly_stochastic()
-    dist = ring.stationary_distribution(matrix)
-    assert dist.weights == (quarter, half, quarter)
+        dist = ring.stationary_distribution(matrix)
+        assert dist.is_uniform()
+        assert list(dist.weights) == oracles.exact_stationary(_dense_rows(matrix))
 
 
 def test_stationary_detects_non_unique_solutions():
-    one = Fraction(1)
-    # two disconnected doubly stochastic blocks -> candidate path must refuse
-    swap_blocks = ring.TransitionMatrix(
-        [{1: one}, {0: one}, {3: one}, {2: one}]
+    half, one = Fraction(1, 2), Fraction(1)
+    for size, law in (
+        (4, {0: half, 2: half}),
+        (6, {3: one}),
+        (9, {3: half, 6: half}),
+    ):
+        with pytest.raises(ring.NonUniqueStationaryError):
+            ring.stationary_distribution(ring.TransitionMatrix(size, law))
+
+
+@st.composite
+def offset_laws(draw):
+    size = draw(st.integers(1, 12))
+    weights = draw(
+        st.dictionaries(st.integers(0, size - 1), st.integers(1, 5), min_size=1)
     )
-    with pytest.raises(ring.NonUniqueStationaryError):
-        ring.stationary_distribution(swap_blocks)
-    # a reducible non-doubly-stochastic chain -> dense path must refuse
-    half = Fraction(1, 2)
-    split = ring.TransitionMatrix(
-        [{0: half, 1: half}, {0: half, 1: half}, {2: one}]
-    )
-    with pytest.raises(ring.NonUniqueStationaryError):
-        ring.stationary_distribution(split)
+    total = sum(weights.values())
+    return size, {off: Fraction(w, total) for off, w in weights.items()}
+
+
+@settings(deadline=None)
+@given(offset_laws())
+def test_stationary_uniqueness_matches_oracle_rank(case):
+    size, law = case
+    matrix = ring.TransitionMatrix(size, law)
+    rows = _dense_rows(matrix)
+    generator = [
+        [rows[j][i] - (i == j) for j in range(size)] for i in range(size)
+    ]  # P^T - I
+    if oracles.fraction_rank(generator) == size - 1:
+        dist = ring.stationary_distribution(matrix)
+        assert list(dist.weights) == oracles.exact_stationary(rows)
+    else:
+        with pytest.raises(ring.NonUniqueStationaryError):
+            ring.stationary_distribution(matrix)
 
 
 def test_single_game_rates():
