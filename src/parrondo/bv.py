@@ -9,6 +9,7 @@ Success probabilities are computed from amplitudes, never sampled.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "NoiseRealization",
     "BvResult",
     "flip_candidates",
+    "first_candidate",
     "draw_realization",
     "noisy_oracle",
     "run_game",
@@ -57,22 +59,49 @@ def flip_candidates(n: int, alpha: int) -> np.ndarray:
     return np.nonzero(odd)[0].astype(np.int64)
 
 
-@dataclass(frozen=True)
+def first_candidate(n: int, alpha: int) -> int:
+    """The smallest y with y . alpha = 1: the lowest set bit of alpha.
+
+    Equals flip_candidates(n, alpha)[0] without the pass over 2**n indices:
+    every y below the lowest set bit shares no bit with alpha.
+    """
+    _check_alpha(n, alpha)
+    return alpha & -alpha
+
+
+@dataclass(frozen=True, eq=False)
 class NoiseRealization:
-    """One concrete noise draw: the eligible indices the oracle left unflipped."""
+    """One concrete noise draw: the eligible indices the oracle left unflipped.
+
+    unflipped is a sorted, read-only int64 array; compare two realizations
+    through it with np.array_equal.  Any iterable of ints is accepted and
+    checked in one vectorised pass: every index in range, y . alpha = 1, no
+    repeats.
+    """
 
     qubits: int
     alpha: int
-    unflipped: frozenset[int]
+    unflipped: np.ndarray
 
     def __post_init__(self):
         _check_alpha(self.qubits, self.alpha)
-        object.__setattr__(self, "unflipped", frozenset(self.unflipped))
-        for y in self.unflipped:
-            if not (0 <= y < (1 << self.qubits)) or _dot(y, self.alpha) != 1:
-                raise ValueError(
-                    f"unflipped index {y} does not satisfy y . alpha = 1"
-                )
+        values = self.unflipped
+        if not isinstance(values, np.ndarray):
+            values = np.array([operator.index(y) for y in values], dtype=np.int64)
+        arr = np.sort(values.astype(np.int64, casting="safe", copy=False))
+        if arr.ndim != 1:
+            raise ValueError("unflipped indices must form a flat sequence")
+        if arr.size and (arr[0] < 0 or arr[-1] >= 1 << self.qubits):
+            raise ValueError(f"unflipped index out of range for {self.qubits} qubits")
+        even = (np.bitwise_count(arr & self.alpha) & 1) == 0
+        if even.any():
+            raise ValueError(
+                f"unflipped index {arr[even][0]} does not satisfy y . alpha = 1"
+            )
+        if np.any(arr[1:] == arr[:-1]):
+            raise ValueError("unflipped indices must not repeat")
+        arr.flags.writeable = False
+        object.__setattr__(self, "unflipped", arr)
 
 
 @dataclass(frozen=True)
@@ -88,21 +117,18 @@ def draw_realization(
 
     fixed-half leaves exactly 2**(n-2) of the 2**(n-1) eligible indices
     unflipped; independent tosses a fair coin per eligible index; noiseless
-    flips them all.
+    flips them all.  The draw is stored as it comes, as an index array.
     """
-    candidates = flip_candidates(n, alpha)
     if mode == NOISELESS:
-        unflipped: frozenset[int] = frozenset()
-    elif mode == FIXED_HALF:
+        return NoiseRealization(qubits=n, alpha=alpha, unflipped=())
+    candidates = flip_candidates(n, alpha)
+    if mode == FIXED_HALF:
         if n < 2:
             raise ValueError("fixed-half noise needs n >= 2")
-        size = 1 << (n - 2)
-        unflipped = frozenset(
-            int(y) for y in rng.choice(candidates, size=size, replace=False)
-        )
+        unflipped = rng.choice(candidates, size=1 << (n - 2), replace=False)
     elif mode == INDEPENDENT:
         coins = rng.integers(0, 2, size=candidates.size).astype(bool)
-        unflipped = frozenset(int(y) for y in candidates[coins])
+        unflipped = candidates[coins]
     else:
         raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
     return NoiseRealization(qubits=n, alpha=alpha, unflipped=unflipped)
@@ -112,32 +138,33 @@ def noisy_oracle(state, realization: NoiseRealization) -> np.ndarray:
     """Apply the unreliable phase oracle for one realization.
 
     Amplitudes at x with x . alpha = 0 are untouched; eligible amplitudes are
-    negated unless their index sits in the unflipped set.  Norm is preserved
-    exactly (every factor is +-1).
+    negated unless their index sits in the unflipped set.  That is the
+    reliable phase oracle followed by one scatter that negates the unflipped
+    amplitudes back.  Norm is preserved exactly (every factor is +-1).
     """
     n = statevec.num_qubits(state)
     if n != realization.qubits:
         raise ValueError(
             f"realization is for {realization.qubits} qubits, state has {n}"
         )
-    out = np.array(state, dtype=np.float64, copy=True)
-    flips = flip_candidates(n, realization.alpha)
-    if realization.unflipped:
-        keep = np.fromiter(sorted(realization.unflipped), dtype=np.int64)
-        flips = np.setdiff1d(flips, keep, assume_unique=True)
-    out[flips] = -out[flips]
+    out = statevec.phase_oracle(state, realization.alpha)
+    keep = realization.unflipped
+    out[keep] = -out[keep]
     return out
 
 
 def run_game(n: int, alpha: int, mode: str, seed: int) -> BvResult:
-    """One seeded play of H..O..H from |0...0>, success read off the amplitudes."""
+    """One seeded play of H..O..H from |0...0>, success read off the amplitudes.
+
+    The first Hadamard layer maps |0...0> to the uniform state, which is
+    built directly, so a play runs one transform, not two.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     _check_alpha(n, alpha)
     rng = np.random.default_rng(seed)
     realization = draw_realization(n, alpha, mode, rng)
-    state = statevec.hadamard_all(statevec.basis_state(n, 0))
-    state = noisy_oracle(state, realization)
+    state = noisy_oracle(statevec.uniform_state(n), realization)
     state = statevec.hadamard_all(state)
     return BvResult(statevec.probability_of(state, alpha), realization)
 
@@ -158,13 +185,13 @@ def single_reflection_baseline(n: int, alpha: int, y: int) -> float:
     """Success when the player reflects about a single |y> instead of the oracle.
 
     Evaluates |<alpha| H (flip y) H |0...0>|**2 through the state-vector
-    pipeline; the value is 4/4**n for every eligible y.
+    pipeline, starting from the uniform state H|0...0>; the value is 4/4**n
+    for every eligible y.
     """
     _check_alpha(n, alpha)
     if _dot(y, alpha) != 1:
         raise ValueError(f"reflection index y={y} must satisfy y . alpha = 1")
-    state = statevec.hadamard_all(statevec.basis_state(n, 0))
-    state = statevec.flip_sign_at(state, y)
+    state = statevec.flip_sign_at(statevec.uniform_state(n), y)
     state = statevec.hadamard_all(state)
     return statevec.probability_of(state, alpha)
 
@@ -179,12 +206,10 @@ def independent_exhaustive_mean(n: int, alpha: int) -> float:
         raise ValueError("exhaustive enumeration supports 2 <= n <= 4")
     _check_alpha(n, alpha)
     candidates = [int(y) for y in flip_candidates(n, alpha)]
-    base = statevec.hadamard_all(statevec.basis_state(n, 0))
+    base = statevec.uniform_state(n)
     total = 0.0
     for bits in range(1 << len(candidates)):
-        unflipped = frozenset(
-            c for i, c in enumerate(candidates) if (bits >> i) & 1
-        )
+        unflipped = [c for i, c in enumerate(candidates) if (bits >> i) & 1]
         realization = NoiseRealization(n, alpha, unflipped)
         state = statevec.hadamard_all(noisy_oracle(base, realization))
         total += statevec.probability_of(state, alpha)

@@ -153,6 +153,10 @@ def cmd_ring(args) -> Output:
         raise ValueError(
             f"moduli product {size} exceeds the limit of {ring.MAX_POSITIONS} positions"
         )
+    if cfg["steps"] is not None and cfg["steps"] > ring.MAX_STEPS:
+        raise ValueError(
+            f"steps {cfg['steps']} exceeds the limit of {ring.MAX_STEPS} Monte Carlo steps"
+        )
 
     singles = [ring.single_game_rate(g) for g in game.games]
     matrix = ring.transition_matrix(game)
@@ -251,20 +255,26 @@ def cmd_bv(args) -> Output:
         raise ValueError(f"samples must be >= 0, got {samples}")
     seed = int(cfg["seed"])
 
-    children = np.random.SeedSequence(seed).spawn(trials)
-    results = [bv.run_game(n, alpha, mode, child) for child in children]
+    # keep each trial's count and success, and only trial 0's realization
+    # (for --samples), so memory stays O(2**n) whatever --trials is
+    detail = []
+    first = None
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        result = bv.run_game(n, alpha, mode, child)
+        if first is None:
+            first = result.realization
+        count = result.realization.unflipped.size
+        detail.append(
+            {
+                "trial": i,
+                "unflipped_count": count,
+                "success": result.success_probability,
+                "closed_form": bv.exact_success(n, count),
+            }
+        )
     half = 1 << (n - 1)
-    detail = [
-        {
-            "trial": i,
-            "unflipped_count": len(r.realization.unflipped),
-            "success": r.success_probability,
-            "closed_form": bv.exact_success(n, len(r.realization.unflipped)),
-        }
-        for i, r in enumerate(results)
-    ]
-    mean = sum(r.success_probability for r in results) / trials
-    baseline_y = int(bv.flip_candidates(n, alpha)[0])
+    mean = sum(row["success"] for row in detail) / trials
+    baseline_y = bv.first_candidate(n, alpha)
     baseline = bv.single_reflection_baseline(n, alpha, baseline_y)
     bound_ok = mean > 1 / 8
 
@@ -319,8 +329,7 @@ def cmd_bv(args) -> Output:
         )
 
     if samples > 0:
-        state = statevec.hadamard_all(statevec.basis_state(n, 0))
-        state = bv.noisy_oracle(state, results[0].realization)
+        state = bv.noisy_oracle(statevec.uniform_state(n), first)
         state = statevec.hadamard_all(state)
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(trials + 1)[-1])
         outcomes = statevec.sample_basis(state, samples, rng)
@@ -366,6 +375,10 @@ def cmd_grover(args) -> Output:
     trials = int(cfg["trials"])
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > grover.MAX_TRIALS:
+        raise ValueError(
+            f"trials {trials} exceeds the limit of {grover.MAX_TRIALS} plays"
+        )
     seed = int(cfg["seed"])
     letter_cap = int(cfg["letter_cap"])
     if letter_cap < 1:
@@ -423,11 +436,9 @@ def cmd_grover(args) -> Output:
     csv_rows = None
     if cfg["sweep"]:
         sweep = []
-        for kk in range(grover.canonical_k(n) + 3):
+        simulated_sweep = grover.sweep_success(n, alpha, grover.canonical_k(n) + 2)
+        for kk, sim_kk in enumerate(simulated_sweep):
             closed_kk = grover.success_after_k(n, kk)
-            sim_kk = statevec.probability_of(
-                grover.realize_word(2 * kk, n, alpha), alpha
-            )
             if kk == 0:
                 mean_wait = 0.0
             else:

@@ -12,6 +12,7 @@ reduced length a winning strategy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,16 +27,23 @@ DEFAULT_LETTER_CAP = 10_000_000
 
 _STREAM_BLOCK = 1 << 14
 
+# Most plays the CLI accepts per waiting-time estimate.  waiting_time_stats
+# spawns a SeedSequence child per play up front and keeps every stopping
+# index: about 450 B per play at peak (86 MB at 2e5 plays).
+MAX_TRIALS = 10**6
+
 __all__ = [
     "LETTER_A",
     "LETTER_B",
     "DEFAULT_LETTER_CAP",
+    "MAX_TRIALS",
     "StoppingCapExceeded",
     "StoppingStrategy",
     "PlayRecord",
     "WaitingTimeStats",
     "reduce_push",
     "realize_word",
+    "sweep_success",
     "success_after_k",
     "canonical_k",
     "best_k",
@@ -69,6 +77,18 @@ def reduce_push(length: int, letter: str) -> int:
     raise ValueError(f"letter must be 'A' or 'B', got {letter!r}")
 
 
+def _rounds(n: int, alpha: int):
+    """Yield the states after 0, 1, 2, ... full rounds from the uniform start state.
+
+    One round is a sign flip at alpha, then diffusion.  The next state is
+    computed only when it is asked for, so taking j states runs j - 1 rounds.
+    """
+    state = statevec.uniform_state(n)
+    while True:
+        yield state
+        state = statevec.diffusion(statevec.flip_sign_at(state, alpha))
+
+
 def realize_word(length: int, n: int, alpha: int) -> np.ndarray:
     """Apply the reduced word of the given length to the uniform start state.
 
@@ -77,12 +97,26 @@ def realize_word(length: int, n: int, alpha: int) -> np.ndarray:
     """
     if length < 0:
         raise ValueError(f"reduced length must be >= 0, got {length}")
-    state = statevec.uniform_state(n)
-    for _ in range(length // 2):
-        state = statevec.diffusion(statevec.flip_sign_at(state, alpha))
+    state = next(itertools.islice(_rounds(n, alpha), length // 2, None))
     if length % 2:
         state = statevec.flip_sign_at(state, alpha)
     return state
+
+
+def sweep_success(n: int, alpha: int, k_max: int) -> list[float]:
+    """State-vector success probability after k full rounds, for k = 0..k_max.
+
+    One state is carried through k_max rounds, so the sweep costs
+    O(k_max * 2**n); entry k equals
+    probability_of(realize_word(2 * k, n, alpha), alpha) exactly, because the
+    same operators run in the same order.
+    """
+    if k_max < 0:
+        raise ValueError(f"round count k_max must be >= 0, got {k_max}")
+    return [
+        statevec.probability_of(state, alpha)
+        for state in itertools.islice(_rounds(n, alpha), k_max + 1)
+    ]
 
 
 def success_after_k(n: int, k: int) -> float:

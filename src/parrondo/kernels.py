@@ -20,14 +20,18 @@ BACKEND = "numpy"
 
 
 def fwht_inplace(amps):
-    """Unnormalised in-place Walsh-Hadamard transform, vectorised butterflies."""
+    """Unnormalised in-place Walsh-Hadamard transform, vectorised butterflies.
+
+    Each stage copies only the top halves; the difference is written straight
+    into the bottom halves.
+    """
     n = amps.size
     h = 1
     while h < n:
         view = amps.reshape(-1, 2, h)
         top = view[:, 0, :].copy()
         view[:, 0, :] += view[:, 1, :]
-        view[:, 1, :] = top - view[:, 1, :]
+        np.subtract(top, view[:, 1, :], out=view[:, 1, :])
         h *= 2
 
 

@@ -21,6 +21,7 @@ from . import kernels
 
 __all__ = [
     "MAX_POSITIONS",
+    "MAX_STEPS",
     "NonUniqueStationaryError",
     "RotationGame",
     "CombinedRingGame",
@@ -40,6 +41,11 @@ __all__ = [
 # law and its JSON report grow peak memory by about 1.1 KB per position
 # (315 MB at M = 255,255); the next wheel, 19, would need several GB.
 MAX_POSITIONS = 2**18
+
+# Most Monte Carlo steps the CLI accepts.  simulate_ring holds its whole walk
+# in int64 arrays, about 41 B per step at peak (802 MB at 2e7 steps, 207 MB
+# at 5e6); this caps one run near 1.2 GB until the walk is streamed.
+MAX_STEPS = 3 * 10**7
 
 
 class NonUniqueStationaryError(ValueError):
@@ -202,14 +208,12 @@ def transition_matrix(combined: CombinedRingGame) -> TransitionMatrix:
     return TransitionMatrix(M, offsets)
 
 
-def stationary_distribution(matrix: TransitionMatrix) -> Distribution:
-    """Unique stationary distribution of the chain, in exact rationals.
+def _require_unique_stationary(matrix: TransitionMatrix) -> None:
+    """Raise NonUniqueStationaryError unless the uniform law is the only stationary one.
 
     A circulant is a random walk on the group Z_M, so the uniform law is
     always stationary; it is the only one exactly when the support offsets
     generate Z_M, i.e. gcd(M, offsets) = 1.
-
-    Raises NonUniqueStationaryError when the distribution is not unique.
     """
     M = matrix.size
     g = math.gcd(M, *matrix.offsets)
@@ -218,7 +222,15 @@ def stationary_distribution(matrix: TransitionMatrix) -> Distribution:
             f"support offsets generate only the multiples of {g} in Z_{M}; "
             "the stationary distribution is not unique"
         )
-    return Distribution((Fraction(1, M),) * M)
+
+
+def stationary_distribution(matrix: TransitionMatrix) -> Distribution:
+    """Unique stationary distribution of the chain, in exact rationals: the uniform law.
+
+    Raises NonUniqueStationaryError when the distribution is not unique.
+    """
+    _require_unique_stationary(matrix)
+    return Distribution((Fraction(1, matrix.size),) * matrix.size)
 
 
 def single_game_rate(game: RotationGame) -> RateReport:
@@ -227,10 +239,15 @@ def single_game_rate(game: RotationGame) -> RateReport:
 
 
 def combined_rate(combined: CombinedRingGame) -> RateReport:
-    """Exact win probability and rate of the combined game under its stationary law."""
-    dist = stationary_distribution(transition_matrix(combined))
-    wins = winning_positions(combined.modulus_product)
-    p = sum((dist.weights[j] for j in wins), Fraction(0))
+    """Exact win probability and rate of the combined game under its stationary law.
+
+    The law is uniform whenever it is unique, so the win probability is the
+    winning share of the M positions.
+    """
+    _require_unique_stationary(transition_matrix(combined))
+    M = combined.modulus_product
+    wins = winning_positions(M)
+    p = Fraction(len(wins), M)
     return RateReport(win_probability=p, rate=2 * p - 1, winning_count=len(wins))
 
 

@@ -21,6 +21,25 @@ def dense_hadamard(n):
     return out
 
 
+def fwht_butterfly_loop(amps):
+    """Unnormalised Walsh-Hadamard transform, one Python butterfly at a time.
+
+    Every output is the same a + b or a - b of the same float64 operands as
+    in a vectorised stage, so the result is bit-identical to any correct
+    butterfly implementation.
+    """
+    values = [float(v) for v in amps]
+    size = len(values)
+    h = 1
+    while h < size:
+        for start in range(0, size, 2 * h):
+            for j in range(start, start + h):
+                a, b = values[j], values[j + h]
+                values[j], values[j + h] = a + b, a - b
+        h *= 2
+    return np.array(values)
+
+
 def dense_phase_oracle(n, alpha):
     """Diagonal (-1)**(x . alpha) matrix."""
     signs = [(-1.0) ** bin(x & alpha).count("1") for x in range(1 << n)]

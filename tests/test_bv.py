@@ -32,10 +32,51 @@ def test_alpha_zero_rejected_everywhere():
 
 def test_noise_realization_validates_members():
     bv.NoiseRealization(3, 1, frozenset({1, 3}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="y . alpha"):
         bv.NoiseRealization(3, 1, frozenset({2}))  # 2 . 1 = 0
+    with pytest.raises(ValueError, match="out of range"):
+        bv.NoiseRealization(3, 1, frozenset({9}))
+    with pytest.raises(ValueError, match="out of range"):
+        bv.NoiseRealization(3, 1, [-1, 3])
+    with pytest.raises(ValueError, match="out of range"):
+        bv.NoiseRealization(3, 1, np.array([1, 11]))
+    with pytest.raises(ValueError, match="repeat"):
+        bv.NoiseRealization(3, 1, [5, 1, 5])
+    with pytest.raises(ValueError, match="repeat"):
+        bv.NoiseRealization(3, 1, np.array([3, 3]))
+    with pytest.raises(ValueError, match="y . alpha"):
+        bv.NoiseRealization(4, 6, np.array([2, 6]))  # 6 . 6 = 0
+    with pytest.raises(ValueError, match="flat"):
+        bv.NoiseRealization(3, 1, np.array([[1, 3]]))
+    # floats are refused, not truncated to an index
+    with pytest.raises(TypeError):
+        bv.NoiseRealization(3, 1, [1.0])
+    with pytest.raises(TypeError):
+        bv.NoiseRealization(3, 1, np.array([1.0, 3.0]))
+
+
+def test_noise_realization_accepts_iterables_and_is_read_only():
+    want = np.array([1, 3, 7], dtype=np.int64)
+    inputs = ([7, 1, 3], (3, 7, 1), {1, 3, 7}, iter([3, 1, 7]), np.array([7, 3, 1], np.uint8))
+    for values in inputs:
+        realization = bv.NoiseRealization(3, 1, values)
+        assert realization.unflipped.dtype == np.int64
+        assert np.array_equal(realization.unflipped, want)
+    assert bv.NoiseRealization(3, 1, ()).unflipped.size == 0
+    source = np.array([3, 1])
+    realization = bv.NoiseRealization(3, 1, source)
+    source[0] = 5
+    assert np.array_equal(realization.unflipped, [1, 3])
+    with pytest.raises(ValueError, match="read-only"):
+        realization.unflipped[0] = 5
+
+
+def test_first_candidate_is_the_smallest_flip_candidate():
+    for n in range(1, 9):
+        for alpha in range(1, 1 << n):
+            assert bv.first_candidate(n, alpha) == bv.flip_candidates(n, alpha)[0]
     with pytest.raises(ValueError):
-        bv.NoiseRealization(3, 1, frozenset({9}))  # out of range
+        bv.first_candidate(3, 0)
 
 
 def test_noisy_oracle_limits():
@@ -68,7 +109,7 @@ def test_run_game_noiseless_is_certain():
     for n, alpha in ((2, 1), (4, 9), (6, 33)):
         result = bv.run_game(n, alpha, bv.NOISELESS, seed=3)
         assert abs(result.success_probability - 1.0) < ATOL
-        assert result.realization.unflipped == frozenset()
+        assert result.realization.unflipped.size == 0
 
 
 def test_run_game_fixed_half_is_exactly_one_quarter():
@@ -90,7 +131,9 @@ def test_run_game_matches_closed_form_and_dense_oracle():
 def test_run_game_is_deterministic():
     a = bv.run_game(5, 7, bv.INDEPENDENT, seed=123)
     b = bv.run_game(5, 7, bv.INDEPENDENT, seed=123)
-    assert a == b
+    assert a.success_probability == b.success_probability
+    assert a.realization.unflipped.size > 0
+    assert np.array_equal(a.realization.unflipped, b.realization.unflipped)
 
 
 def test_exact_success_endpoints():
@@ -144,8 +187,10 @@ def test_combined_game_beats_single_reflections():
 
 def test_draw_realization_modes():
     rng = np.random.default_rng(1)
-    assert bv.draw_realization(4, 5, bv.NOISELESS, rng).unflipped == frozenset()
+    assert bv.draw_realization(4, 5, bv.NOISELESS, rng).unflipped.size == 0
     fixed = bv.draw_realization(4, 5, bv.FIXED_HALF, rng)
-    assert len(fixed.unflipped) == 4
+    assert fixed.unflipped.size == 4
+    assert set(fixed.unflipped.tolist()) <= set(bv.flip_candidates(4, 5).tolist())
+    assert np.all(np.diff(fixed.unflipped) > 0)
     with pytest.raises(ValueError, match="mode"):
         bv.draw_realization(4, 5, "half", rng)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from parrondo import cli, ring
+from parrondo import cli, grover, kernels, ring, statevec
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -252,6 +252,53 @@ def test_grover_rejects_non_positive_letter_cap(capsys, cap):
     assert "letter cap" in err
 
 
+def test_grover_sweep_runs_each_round_once(capsys, monkeypatch):
+    # one state carried through the sweep: k rounds for the strategy's own
+    # row plus canonical_k + 2 for the sweep, not one rebuild per k
+    calls = []
+    diffusion = statevec.diffusion
+    monkeypatch.setattr(
+        statevec, "diffusion", lambda state: calls.append(1) or diffusion(state)
+    )
+    code, out, _ = run_cli(
+        capsys, "grover", "-n", "8", "--sweep", "--trials", "2", "--format", "json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    k = report["k"]
+    assert len(report["sweep"]) == grover.canonical_k(8) + 3
+    assert len(calls) == k + grover.canonical_k(8) + 2
+
+
+def test_bv_runs_two_hadamard_transforms(capsys, monkeypatch):
+    # one transform in the play and one in the baseline; both start from
+    # the uniform state instead of transforming |0...0>
+    calls = []
+    fwht = kernels.fwht_inplace
+    monkeypatch.setattr(
+        kernels, "fwht_inplace", lambda amps: calls.append(1) or fwht(amps)
+    )
+    code, _, _ = run_cli(capsys, "bv", "-n", "6", "--alpha", "5", "--trials", "1")
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_ring_rejects_more_steps_than_the_limit(capsys):
+    steps = str(ring.MAX_STEPS + 1)
+    code, out, err = run_cli(capsys, "ring", "--moduli", "3,7", "--steps", steps)
+    assert code == 2
+    assert out == ""
+    assert f"limit of {ring.MAX_STEPS} Monte Carlo steps" in err
+
+
+def test_grover_rejects_more_trials_than_the_limit(capsys):
+    trials = str(grover.MAX_TRIALS + 1)
+    code, out, err = run_cli(capsys, "grover", "-n", "4", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert f"limit of {grover.MAX_TRIALS} plays" in err
+
+
 def test_grover_sweep_csv_columns(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -273,8 +320,6 @@ def test_grover_sweep_csv_columns(capsys):
 
 
 def grover_sweep_length():
-    from parrondo import grover
-
     return grover.canonical_k(3) + 3 + 1  # k = 0..canonical+2, plus header
 
 

@@ -100,6 +100,27 @@ def test_success_closed_form_matches_statevec(n):
         assert abs(simulated - grover.success_after_k(n, k)) < 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sweep_success_equals_realize_word_exactly(n):
+    k_max = grover.canonical_k(n) + 2
+    for alpha in {0, 1, (1 << n) - 1, (1 << n) // 3}:
+        sweep = grover.sweep_success(n, alpha, k_max)
+        assert len(sweep) == k_max + 1
+        for k, value in enumerate(sweep):
+            assert value == statevec.probability_of(
+                grover.realize_word(2 * k, n, alpha), alpha
+            )
+
+
+def test_sweep_success_validation():
+    (only,) = grover.sweep_success(3, 5, 0)
+    assert abs(only - 0.125) < ATOL
+    with pytest.raises(ValueError):
+        grover.sweep_success(3, 5, -1)
+    with pytest.raises(ValueError):
+        grover.sweep_success(3, 8, 2)
+
+
 def test_canonical_k_values():
     assert grover.canonical_k(2) == 2
     assert grover.canonical_k(4) == 4

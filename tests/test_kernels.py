@@ -19,6 +19,19 @@ def test_fwht_matches_hand_sums():
     assert np.array_equal(amps, np.array([10.0, -2.0, -4.0, 0.0]))
 
 
+@settings(deadline=None, max_examples=60)
+@example(n=0, seed=0)
+@example(n=12, seed=1)
+@given(n=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_fwht_is_bit_identical_to_butterfly_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-3, 4, size=1 << n)
+    want = oracles.fwht_butterfly_loop(amps)
+    kernels.fwht_inplace(amps)
+    assert np.array_equal(amps, want)
+    assert np.array_equal(np.signbit(amps), np.signbit(want))
+
+
 @settings(deadline=None, max_examples=300)
 @example(bits=[], level=3, target=4)  # size 0
 @example(bits=[1, 0], level=5, target=3)  # target below the start level
