@@ -31,60 +31,23 @@ EXIT_CAP = 3
 FORMATS = ("table", "csv", "json")
 JSON_SCHEMA = 1
 
-RING_DEFAULTS = {"moduli": None, "steps": None, "seed": 1, "format": "table"}
-BV_DEFAULTS = {
-    "n": None,
-    "alpha": 1,
-    "mode": bv.FIXED_HALF,
-    "trials": 1,
-    "exhaustive": False,
-    "samples": 0,
-    "seed": 1,
-    "format": "table",
-}
-GROVER_DEFAULTS = {
-    "n": None,
-    "alpha": 0,
-    "strategy": "canonical",
-    "trials": 1000,
-    "sweep": False,
-    "letter_cap": grover.DEFAULT_LETTER_CAP,
-    "seed": 1,
-    "format": "table",
-}
-REPRODUCE_DEFAULTS = {"format": "table"}
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_moduli(value) -> bool:
-    return isinstance(value, str) or (
-        isinstance(value, list) and all(_is_int(v) for v in value)
-    )
-
-
-_INT = ("an integer", _is_int)
-_BOOL = ("a boolean", lambda value: isinstance(value, bool))
-_STR = ("a string", lambda value: isinstance(value, str))
-
-# JSON type each config key must have: the type of the flag it stands for
-CONFIG_TYPES = {
-    "moduli": ("a string or a list of integers", _is_moduli),
-    "steps": _INT,
-    "n": _INT,
-    "alpha": _INT,
-    "mode": _STR,
-    "trials": _INT,
-    "exhaustive": _BOOL,
-    "samples": _INT,
-    "strategy": _STR,
-    "sweep": _BOOL,
-    "letter_cap": _INT,
-    "seed": _INT,
-    "format": _STR,
-}
+def _json_type(action: argparse.Action):
+    """(description, test) of the JSON value a config key takes: its flag's type."""
+    if action.dest == "moduli":
+        want = "a string or a list of integers"
+        return want, lambda value: isinstance(value, str) or (
+            isinstance(value, list) and all(map(_is_int, value))
+        )
+    if action.nargs == 0:
+        return "a boolean", lambda value: isinstance(value, bool)
+    if action.type is int:
+        return "an integer", _is_int
+    return "a string", lambda value: isinstance(value, str)
 
 
 @dataclass
@@ -105,70 +68,79 @@ def _show(f: Fraction) -> str:
 
 
 def _parse_moduli(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(tok) for tok in str(value).replace(" ", "").split(",") if tok]
+    if isinstance(value, list):
+        return value
+    return [int(tok) for tok in value.replace(" ", "").split(",") if tok]
 
 
-def _load_config(path: str, defaults: dict) -> dict:
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The --config file, checked against the subcommand's flags.
+
+    Keys are the flags' dests; each value must have its flag's JSON type and,
+    where the flag has choices, be one of them.
+    """
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(config) - set(defaults))
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(flags))
     if unknown:
         raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     for key, value in config.items():
-        want, accepts = CONFIG_TYPES[key]
+        want, accepts = _json_type(flags[key])
         if not accepts(value):
             raise ValueError(
                 f"config file {path}: {key} must be {want}, got {json.dumps(value)}"
             )
+        choices = flags[key].choices
+        if choices is not None and value not in choices:
+            raise ValueError(f"{key} must be one of {tuple(choices)}, got {value!r}")
     return config
 
 
-def _effective(args, defaults: dict) -> dict:
-    """Built-in defaults, overridden by --config values, overridden by flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        merged.update(_load_config(args.config, defaults))
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    fmt = merged.get("format", "table")
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    return merged
+def _check_limit(what: str, value: int, limit: int, unit: str) -> None:
+    if value > limit:
+        raise ValueError(f"{what} {value} exceeds the limit of {limit} {unit}")
+
+
+def _qubits(n: int | None) -> int:
+    if n is None:
+        raise ValueError("missing -n/--qubits")
+    if not (2 <= n <= statevec.MAX_QUBITS):
+        raise ValueError(f"qubit count must be in [2, {statevec.MAX_QUBITS}], got {n}")
+    return n
+
+
+def _trials(trials: int, limit: int) -> int:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_limit("trials", trials, limit, "plays")
+    return trials
 
 
 def cmd_ring(args) -> Output:
-    cfg = _effective(args, RING_DEFAULTS)
-    if cfg["moduli"] is None:
+    if args.moduli is None:
         raise ValueError("missing --moduli (comma-separated odd coprime values)")
-    moduli = _parse_moduli(cfg["moduli"])
+    moduli = _parse_moduli(args.moduli)
     game = ring.CombinedRingGame.from_moduli(moduli)
     size = game.modulus_product
-    if size > ring.MAX_POSITIONS:
-        raise ValueError(
-            f"moduli product {size} exceeds the limit of {ring.MAX_POSITIONS} positions"
-        )
-    if cfg["steps"] is not None and cfg["steps"] > ring.MAX_STEPS:
-        raise ValueError(
-            f"steps {cfg['steps']} exceeds the limit of {ring.MAX_STEPS} Monte Carlo steps"
-        )
+    _check_limit("moduli product", size, ring.MAX_POSITIONS, "positions")
+    if args.steps is not None:
+        _check_limit("steps", args.steps, ring.MAX_STEPS, "Monte Carlo steps")
 
     singles = [ring.single_game_rate(g) for g in game.games]
     matrix = ring.transition_matrix(game)
     dist = ring.stationary_distribution(matrix)
     combined = ring.combined_rate(game)
+    doubly_stochastic = matrix.is_doubly_stochastic()
 
     report = {
         "schema": JSON_SCHEMA,
         "command": "ring",
         "moduli": moduli,
         "positions": size,
-        "seed": cfg["seed"],
+        "seed": args.seed,
         "games": [
             {
                 "modulus": m,
@@ -183,7 +155,7 @@ def cmd_ring(args) -> Output:
             "rate": _frac(combined.rate),
             "winning_count": combined.winning_count,
         },
-        "doubly_stochastic": matrix.is_doubly_stochastic(),
+        "doubly_stochastic": doubly_stochastic,
         "stationary": {
             "uniform": dist.is_uniform(),
             "weights": [_frac(w) for w in dist.weights],
@@ -205,18 +177,14 @@ def cmd_ring(args) -> Output:
     )
     table.append(
         "doubly stochastic: "
-        + ("yes (exact unit row and column sums)" if matrix.is_doubly_stochastic() else "no")
+        + ("yes (exact unit row and column sums)" if doubly_stochastic else "no")
     )
-    if dist.is_uniform():
-        table.append(f"stationary distribution: uniform, every weight 1/{size}")
-    else:
-        table.append(
-            "stationary distribution: " + ", ".join(str(w) for w in dist.weights)
-        )
+    # stationary_distribution returns the uniform law or raises
+    table.append(f"stationary distribution: uniform, every weight 1/{size}")
 
-    if cfg["steps"] is not None:
-        steps = int(cfg["steps"])
-        empirical = ring.simulate_ring(game, steps, int(cfg["seed"]))
+    if args.steps is not None:
+        steps = args.steps
+        empirical = ring.simulate_ring(game, steps, args.seed)
         p = float(combined.win_probability)
         se = math.sqrt(p * (1 - p) / steps)
         z = (float(empirical.win_probability) - p) / se
@@ -228,38 +196,37 @@ def cmd_ring(args) -> Output:
             "z_score": z,
         }
         table.append(
-            f"monte carlo ({steps} steps, seed {cfg['seed']}): "
+            f"monte carlo ({steps} steps, seed {args.seed}): "
             f"win frequency {float(empirical.win_probability):.6f}, "
             f"z = {z:+.3f} binomial standard errors"
         )
 
-    return Output(report, table, cfg["format"], EXIT_OK)
+    return Output(report, table, args.format, EXIT_OK)
 
 
 def cmd_bv(args) -> Output:
-    cfg = _effective(args, BV_DEFAULTS)
-    if cfg["n"] is None:
-        raise ValueError("missing -n/--qubits")
-    n = int(cfg["n"])
-    if not (2 <= n <= statevec.MAX_QUBITS):
-        raise ValueError(f"qubit count must be in [2, {statevec.MAX_QUBITS}], got {n}")
-    alpha = int(cfg["alpha"])
-    mode = str(cfg["mode"])
-    if mode not in bv.NOISE_MODES:
-        raise ValueError(f"mode must be one of {bv.NOISE_MODES}, got {mode!r}")
-    trials = int(cfg["trials"])
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    samples = int(cfg["samples"])
+    n = _qubits(args.n)
+    alpha, mode, seed = args.alpha, args.mode, args.seed
+    trials = _trials(args.trials, bv.MAX_TRIALS)
+    samples = args.samples
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    seed = int(cfg["seed"])
+    _check_limit("samples", samples, bv.MAX_SAMPLES, "shots")
+    # first_candidate checks alpha, and the exhaustive mean its qubit count,
+    # so every input is checked before the first trial
+    baseline_y = bv.first_candidate(n, alpha)
+    if args.exhaustive:
+        if mode != bv.INDEPENDENT:
+            raise ValueError("--exhaustive applies to --mode independent only")
+        exhaustive = bv.independent_exhaustive_mean(n, alpha)
 
     # keep each trial's count and success, and only trial 0's realization
-    # (for --samples), so memory stays O(2**n) whatever --trials is
+    # (for --samples); child i of the seed is made when trial i runs, the
+    # same stream as SeedSequence(seed).spawn(trials)[i]
     detail = []
     first = None
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+    for i in range(trials):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
         result = bv.run_game(n, alpha, mode, child)
         if first is None:
             first = result.realization
@@ -274,7 +241,6 @@ def cmd_bv(args) -> Output:
         )
     half = 1 << (n - 1)
     mean = sum(row["success"] for row in detail) / trials
-    baseline_y = bv.first_candidate(n, alpha)
     baseline = bv.single_reflection_baseline(n, alpha, baseline_y)
     bound_ok = mean > 1 / 8
 
@@ -315,10 +281,7 @@ def cmd_bv(args) -> Output:
         f"bound check (success > 1/8): {'PASS' if bound_ok else 'FAIL'}"
     )
 
-    if cfg["exhaustive"]:
-        if mode != bv.INDEPENDENT:
-            raise ValueError("--exhaustive applies to --mode independent only")
-        exhaustive = bv.independent_exhaustive_mean(n, alpha)
+    if args.exhaustive:
         report["exhaustive_mean"] = {
             "value": exhaustive,
             "closed_form": 0.25 + 2.0 ** -(n + 1),
@@ -331,7 +294,7 @@ def cmd_bv(args) -> Output:
     if samples > 0:
         state = bv.noisy_oracle(statevec.uniform_state(n), first)
         state = statevec.hadamard_all(state)
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(trials + 1)[-1])
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trials,)))
         outcomes = statevec.sample_basis(state, samples, rng)
         hits = int(np.count_nonzero(outcomes == alpha))
         report["sampled_measurements"] = {
@@ -344,7 +307,7 @@ def cmd_bv(args) -> Output:
             f"alpha measured {hits} times ({hits / samples:.6f})"
         )
 
-    return Output(report, table, cfg["format"], EXIT_OK)
+    return Output(report, table, args.format, EXIT_OK)
 
 
 def _resolve_strategy(text: str, n: int) -> tuple[str, int]:
@@ -363,27 +326,14 @@ def _resolve_strategy(text: str, n: int) -> tuple[str, int]:
 
 
 def cmd_grover(args) -> Output:
-    cfg = _effective(args, GROVER_DEFAULTS)
-    if cfg["n"] is None:
-        raise ValueError("missing -n/--qubits")
-    n = int(cfg["n"])
-    if not (2 <= n <= statevec.MAX_QUBITS):
-        raise ValueError(f"qubit count must be in [2, {statevec.MAX_QUBITS}], got {n}")
-    alpha = int(cfg["alpha"])
+    n = _qubits(args.n)
+    alpha, seed, letter_cap = args.alpha, args.seed, args.letter_cap
     if not (0 <= alpha < (1 << n)):
         raise ValueError(f"alpha {alpha} out of range for {n} qubits")
-    trials = int(cfg["trials"])
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials > grover.MAX_TRIALS:
-        raise ValueError(
-            f"trials {trials} exceeds the limit of {grover.MAX_TRIALS} plays"
-        )
-    seed = int(cfg["seed"])
-    letter_cap = int(cfg["letter_cap"])
+    trials = _trials(args.trials, grover.MAX_TRIALS)
     if letter_cap < 1:
         raise ValueError(f"letter cap must be >= 1, got {letter_cap}")
-    strategy_name, k = _resolve_strategy(str(cfg["strategy"]), n)
+    strategy_name, k = _resolve_strategy(args.strategy, n)
 
     closed = grover.success_after_k(n, k)
     simulated = statevec.probability_of(grover.realize_word(2 * k, n, alpha), alpha)
@@ -434,7 +384,7 @@ def cmd_grover(args) -> Output:
     ]
 
     csv_rows = None
-    if cfg["sweep"]:
+    if args.sweep:
         sweep = []
         simulated_sweep = grover.sweep_success(n, alpha, grover.canonical_k(n) + 2)
         for kk, sim_kk in enumerate(simulated_sweep):
@@ -464,11 +414,10 @@ def cmd_grover(args) -> Output:
             )
 
     code = EXIT_CAP if stats.cap_exceeded > 0 else EXIT_OK
-    return Output(report, table, cfg["format"], code, csv_rows)
+    return Output(report, table, args.format, code, csv_rows)
 
 
 def cmd_reproduce(args) -> Output:
-    cfg = _effective(args, REPRODUCE_DEFAULTS)
     rows = reproduce.run_all()
     all_passed = all(r.passed for r in rows)
     report = {
@@ -501,7 +450,7 @@ def cmd_reproduce(args) -> Output:
         f"{sum(r.passed for r in rows)}/{len(rows)} rows passed"
         + ("" if all_passed else " -- FAILURES ABOVE")
     )
-    return Output(report, table, cfg["format"], EXIT_OK if all_passed else EXIT_FAILED)
+    return Output(report, table, args.format, EXIT_OK if all_passed else EXIT_FAILED)
 
 
 def _flatten(value, prefix=""):
@@ -548,16 +497,18 @@ def _emit(out: Output) -> None:
             print(line)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
+def _add_common(parser: argparse.ArgumentParser, handler) -> None:
+    parser.add_argument("--seed", type=int, default=1, help="master random seed")
     parser.add_argument(
-        "--format", choices=FORMATS, default=None, help="output format (default: table)"
+        "--format",
+        choices=FORMATS,
+        default="table",
+        help="output format (default: %(default)s)",
     )
     parser.add_argument(
-        "--config",
-        default=None,
-        help="JSON file with the same keys as the flags; flags win",
+        "--config", help="JSON file with the same keys as the flags; flags win"
     )
+    parser.set_defaults(handler=handler, subparser=parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,69 +522,59 @@ def build_parser() -> argparse.ArgumentParser:
     ring_p = sub.add_parser(
         "ring", help="classical wheel games: exact rates plus optional Monte Carlo"
     )
-    ring_p.add_argument(
-        "--moduli", default=None, help="comma-separated odd coprime moduli, e.g. 3,7"
-    )
-    ring_p.add_argument(
-        "--steps", type=int, default=None, help="Monte Carlo steps (omit to skip)"
-    )
-    _add_common(ring_p)
-    ring_p.set_defaults(handler=cmd_ring)
+    ring_p.add_argument("--moduli", help="comma-separated odd coprime moduli, e.g. 3,7")
+    ring_p.add_argument("--steps", type=int, help="Monte Carlo steps (omit to skip)")
+    _add_common(ring_p, cmd_ring)
 
     bv_p = sub.add_parser(
         "bv", help="guessing game against the unreliable phase oracle"
     )
-    bv_p.add_argument("-n", "--qubits", dest="n", type=int, default=None)
-    bv_p.add_argument("--alpha", type=int, default=None, help="hidden nonzero string")
-    bv_p.add_argument("--mode", choices=bv.NOISE_MODES, default=None)
-    bv_p.add_argument("--trials", type=int, default=None)
+    bv_p.add_argument("-n", "--qubits", dest="n", type=int)
+    bv_p.add_argument("--alpha", type=int, default=1, help="hidden nonzero string")
+    bv_p.add_argument("--mode", choices=bv.NOISE_MODES, default=bv.FIXED_HALF)
+    bv_p.add_argument("--trials", type=int, default=1)
     bv_p.add_argument(
         "--exhaustive",
         action="store_true",
-        default=None,
         help="average over every independent-mode realization (n <= 4)",
     )
     bv_p.add_argument(
         "--samples",
         type=int,
-        default=None,
+        default=0,
         help="also draw this many demonstration measurements from the trial-0 state",
     )
-    _add_common(bv_p)
-    bv_p.set_defaults(handler=cmd_bv)
+    _add_common(bv_p, cmd_bv)
 
     grover_p = sub.add_parser(
         "grover", help="stopping game over random reflection sequences"
     )
-    grover_p.add_argument("-n", "--qubits", dest="n", type=int, default=None)
-    grover_p.add_argument("--alpha", type=int, default=None, help="target index")
+    grover_p.add_argument("-n", "--qubits", dest="n", type=int)
+    grover_p.add_argument("--alpha", type=int, default=0, help="target index")
     grover_p.add_argument(
         "--strategy",
-        default=None,
+        default="canonical",
         help="'canonical' (ceiling rule), 'best' (scanned optimum) or 'k=<int>'",
     )
-    grover_p.add_argument("--trials", type=int, default=None)
+    grover_p.add_argument("--trials", type=int, default=1000)
     grover_p.add_argument(
         "--sweep",
         action="store_true",
-        default=None,
         help="emit a per-k table: k, closed_form_success, simulated_success, mean_waiting_time",
     )
     grover_p.add_argument(
         "--letter-cap",
         dest="letter_cap",
         type=int,
-        default=None,
-        help=f"abort a play after this many letters (default {grover.DEFAULT_LETTER_CAP})",
+        default=grover.DEFAULT_LETTER_CAP,
+        help="abort a play after this many letters (default %(default)s)",
     )
-    _add_common(grover_p)
-    grover_p.set_defaults(handler=cmd_grover)
+    _add_common(grover_p, cmd_grover)
 
     rep_p = sub.add_parser(
         "reproduce", help="re-derive every headline number and print PASS/FAIL per row"
     )
-    _add_common(rep_p)
-    rep_p.set_defaults(handler=cmd_reproduce)
+    _add_common(rep_p, cmd_reproduce)
 
     return parser
 
@@ -641,12 +582,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = getattr(args, "handler", None)
-    if handler is None:
+    if args.command is None:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        out = handler(args)
+        if args.config:
+            # the file's values become the subcommand's defaults, so flags win
+            config = _config_defaults(args.config, args.subparser)
+            args.subparser.set_defaults(**config)
+            args = parser.parse_args(argv)
+        out = args.handler(args)
     except StoppingCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

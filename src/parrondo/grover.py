@@ -28,8 +28,9 @@ DEFAULT_LETTER_CAP = 10_000_000
 _STREAM_BLOCK = 1 << 14
 
 # Most plays the CLI accepts per waiting-time estimate.  waiting_time_stats
-# spawns a SeedSequence child per play up front and keeps every stopping
-# index: about 450 B per play at peak (86 MB at 2e5 plays).
+# makes each play's SeedSequence child as the play runs and keeps every
+# stopping index: about 35 B per play at peak (43 MB peak RSS at 2e5 plays,
+# 36 MB at 10^3).
 MAX_TRIALS = 10**6
 
 __all__ = [
@@ -274,8 +275,10 @@ def waiting_time_stats(
         raise ValueError(f"trials must be >= 1, got {trials}")
     times = []
     cap_exceeded = 0
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
+    for i in range(trials):
+        # child i of the seed, made when play i runs: the same stream as
+        # SeedSequence(seed).spawn(trials)[i]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         try:
             times.append(_stopping_index(rng, 2 * target_k, letter_cap))
         except StoppingCapExceeded:

@@ -22,24 +22,34 @@ BACKEND = "numpy"
 def fwht_inplace(amps):
     """Unnormalised in-place Walsh-Hadamard transform, vectorised butterflies.
 
-    Each stage copies only the top halves; the difference is written straight
-    into the bottom halves.
+    Each stage copies the top halves into one buffer allocated once; the
+    difference is written straight into the bottom halves.  amps must be
+    C-contiguous, so that its reshapes are views.
     """
     n = amps.size
+    buffer = np.empty(n // 2, dtype=amps.dtype)
     h = 1
     while h < n:
         view = amps.reshape(-1, 2, h)
-        top = view[:, 0, :].copy()
+        top = buffer.reshape(-1, h)
+        np.copyto(top, view[:, 0, :])
         view[:, 0, :] += view[:, 1, :]
         np.subtract(top, view[:, 1, :], out=view[:, 1, :])
         h *= 2
 
 
 def parity_flip_inplace(amps, mask):
-    """Negate amplitudes at indices with odd popcount(index & mask)."""
-    idx = np.arange(amps.size, dtype=np.uint64)
-    odd = (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(bool)
-    amps[odd] *= -1.0
+    """Negate amplitudes at indices with odd popcount(index & mask).
+
+    The sign is the product of one flip per set bit b of mask, taken over the
+    indices with bit b set: the odd rows of amps viewed as (-1, 2, 2**b).
+    No index array is built.  amps must be C-contiguous and mask below
+    amps.size.
+    """
+    for b in range(int(mask).bit_length()):
+        if (mask >> b) & 1:
+            rows = amps.reshape(-1, 2, 1 << b)[:, 1, :]
+            np.negative(rows, out=rows)
 
 
 def ring_walk_wins(increments, modulus, win_table):

@@ -40,6 +40,17 @@ def fwht_butterfly_loop(amps):
     return np.array(values)
 
 
+def parity_flip_popcount(amps, mask):
+    """Negate, in place, the amplitudes at indices with odd popcount(index & mask).
+
+    One pass over an index array and its popcounts: the straightforward form
+    of kernels.parity_flip_inplace, which works on strided views instead.
+    """
+    idx = np.arange(amps.size, dtype=np.uint64)
+    odd = (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(bool)
+    amps[odd] *= -1.0
+
+
 def dense_phase_oracle(n, alpha):
     """Diagonal (-1)**(x . alpha) matrix."""
     signs = [(-1.0) ** bin(x & alpha).count("1") for x in range(1 << n)]

@@ -1,14 +1,16 @@
 """CLI behaviour: outputs, exit codes, reproducibility, config handling."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from parrondo import cli, grover, kernels, ring, statevec
+from parrondo import bv, cli, grover, kernels, reproduce, ring, statevec
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -129,10 +131,62 @@ def test_bv_exhaustive_mean(capsys):
     assert "0.312500000" in out
 
 
-def test_bv_exhaustive_requires_independent_mode(capsys):
+def _count_plays(monkeypatch):
+    calls = []
+    run_game = bv.run_game
+    monkeypatch.setattr(bv, "run_game", lambda *a: calls.append(1) or run_game(*a))
+    return calls
+
+
+def test_bv_exhaustive_requires_independent_mode(capsys, monkeypatch):
+    plays = _count_plays(monkeypatch)
     code, _, err = run_cli(capsys, "bv", "-n", "3", "--exhaustive")
     assert code == 2
     assert "independent" in err
+    assert plays == []  # checked before the first trial
+
+
+def test_bv_exhaustive_rejects_more_than_four_qubits_before_any_trial(capsys, monkeypatch):
+    plays = _count_plays(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "bv", "-n", "5", "--mode", "independent", "--exhaustive"
+    )
+    assert code == 2
+    assert out == ""
+    assert "2 <= n <= 4" in err
+    assert plays == []
+
+
+@pytest.mark.parametrize(
+    "flag, limit, unit",
+    [("--trials", bv.MAX_TRIALS, "plays"), ("--samples", bv.MAX_SAMPLES, "shots")],
+    ids=["trials", "samples"],
+)
+def test_bv_rejects_values_over_its_limits(capsys, monkeypatch, flag, limit, unit):
+    plays = _count_plays(monkeypatch)
+    code, out, err = run_cli(capsys, "bv", "-n", "4", flag, str(limit + 1))
+    assert code == 2
+    assert out == ""
+    assert f"limit of {limit} {unit}" in err
+    assert plays == []
+
+
+def test_bv_trials_and_samples_use_the_seed_children_in_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "bv", "-n", "5", "--alpha", "3", "--mode", "independent",
+        "--trials", "3", "--samples", "50", "--seed", "9", "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(out)
+    children = np.random.SeedSequence(9).spawn(4)
+    plays = [bv.run_game(5, 3, bv.INDEPENDENT, child) for child in children[:3]]
+    assert [row["success"] for row in report["results"]] == [
+        play.success_probability for play in plays
+    ]
+    state = bv.noisy_oracle(statevec.uniform_state(5), plays[0].realization)
+    state = statevec.hadamard_all(state)
+    shots = statevec.sample_basis(state, 50, np.random.default_rng(children[3]))
+    assert report["sampled_measurements"]["alpha_hits"] == np.count_nonzero(shots == 3)
 
 
 def test_bv_sampling_demo(capsys):
@@ -353,8 +407,12 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         (["bv", "-n", "3"], {"trials": 2.7}, "trials must be an integer"),
         (["grover", "-n", "3"], {"trials": True}, "trials must be an integer"),
         (["ring"], {"moduli": [3.9, 7]}, "moduli must be a string or a list of integers"),
+        (["bv", "-n", "3"], {"mode": "noisy"}, "mode must be one of"),
+        (["reproduce"], {"format": "xml"}, "format must be one of"),
     ],
-    ids=["string-bool", "float-int", "bool-int", "float-moduli"],
+    ids=[
+        "string-bool", "float-int", "bool-int", "float-moduli", "mode-choice", "format-choice"
+    ],
 )
 def test_config_values_must_match_flag_types(tmp_path, capsys, argv, config, message):
     path = tmp_path / "typed.json"
@@ -363,6 +421,66 @@ def test_config_values_must_match_flag_types(tmp_path, capsys, argv, config, mes
     assert code == 2
     assert out == ""
     assert message in err
+
+
+# (argv without the flag, the flag's dest, the flag set to a non-default
+# value, the same value as a config entry)
+ROUND_TRIPS = [
+    (["ring", "--steps", "1000"], "moduli", ["--moduli", "3,11"], [3, 11]),
+    (["ring", "--moduli", "3,7"], "steps", ["--steps", "1000"], 1000),
+    (["ring", "--moduli", "3,7", "--steps", "1000"], "seed", ["--seed", "5"], 5),
+    (["ring", "--moduli", "3,7"], "format", ["--format", "json"], "json"),
+    (["bv", "--alpha", "3"], "n", ["-n", "5"], 5),
+    (["bv", "-n", "4"], "alpha", ["--alpha", "3"], 3),
+    (["bv", "-n", "4"], "mode", ["--mode", "independent"], "independent"),
+    (["bv", "-n", "4"], "trials", ["--trials", "3"], 3),
+    (["bv", "-n", "3", "--mode", "independent"], "exhaustive", ["--exhaustive"], True),
+    (["bv", "-n", "4"], "samples", ["--samples", "20"], 20),
+    (["bv", "-n", "4", "--mode", "independent"], "seed", ["--seed", "7"], 7),
+    (["bv", "-n", "4"], "format", ["--format", "csv"], "csv"),
+    (["grover", "--trials", "5"], "n", ["-n", "4"], 4),
+    (["grover", "-n", "4", "--trials", "5"], "alpha", ["--alpha", "6"], 6),
+    (["grover", "-n", "3", "--trials", "5"], "strategy", ["--strategy", "best"], "best"),
+    (["grover", "-n", "4"], "trials", ["--trials", "7"], 7),
+    (["grover", "-n", "3", "--trials", "5"], "sweep", ["--sweep"], True),
+    (["grover", "-n", "4", "--trials", "5"], "letter_cap", ["--letter-cap", "30"], 30),
+    (["grover", "-n", "4", "--trials", "5"], "seed", ["--seed", "9"], 9),
+    (["grover", "-n", "4", "--trials", "5"], "format", ["--format", "json"], "json"),
+    (["reproduce"], "seed", ["--seed", "5"], 5),
+    (["reproduce"], "format", ["--format", "json"], "json"),
+]
+
+QUICK_ROW = reproduce.CheckRow("Q1", "quick row", "1", "1", True)
+
+
+def _subparser(command):
+    actions = cli.build_parser()._actions
+    sub = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def test_round_trips_cover_every_flag():
+    for command in ("ring", "bv", "grover", "reproduce"):
+        dests = {a.dest for a in _subparser(command)._actions} - {"help", "config"}
+        assert dests == {dest for argv, dest, _, _ in ROUND_TRIPS if argv[0] == command}
+
+
+@pytest.mark.parametrize(
+    "argv, dest, flag, value",
+    ROUND_TRIPS,
+    ids=[f"{argv[0]}-{dest}" for argv, dest, _, _ in ROUND_TRIPS],
+)
+def test_config_value_prints_what_its_flag_prints(
+    tmp_path, capsys, monkeypatch, argv, dest, flag, value
+):
+    monkeypatch.setattr(reproduce, "run_all", lambda: [QUICK_ROW])
+    defaults = {a.dest: a.default for a in _subparser(argv[0])._actions}
+    assert value != defaults[dest]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({dest: value}))
+    by_flag = run_cli(capsys, *argv, *flag)
+    assert by_flag[0] in (0, 3)
+    assert run_cli(capsys, *argv, "--config", str(path)) == by_flag
 
 
 def test_missing_config_file_is_a_config_error(capsys):

@@ -265,6 +265,20 @@ def test_waiting_time_stats_counts_cap_hits_separately():
     assert math.isnan(stats.mean)
 
 
+def test_waiting_time_stats_plays_the_seed_children_in_order():
+    children = np.random.SeedSequence(77).spawn(40)
+    times = np.array(
+        [grover._stopping_index(np.random.default_rng(c), 6, 10**6) for c in children],
+        dtype=np.float64,
+    )
+    stats = grover.waiting_time_stats(3, trials=40, seed=77)
+    assert (stats.mean, stats.variance, stats.max) == (
+        float(times.mean()),
+        float(times.var()),
+        int(times.max()),
+    )
+
+
 def test_waiting_time_stats_validation():
     with pytest.raises(ValueError):
         grover.waiting_time_stats(0, trials=10, seed=1)

@@ -33,6 +33,34 @@ def test_fwht_is_bit_identical_to_butterfly_loop(n, seed):
 
 
 @settings(deadline=None, max_examples=300)
+@example(n=1, mask=0, seed=0)
+@example(n=12, mask=(1 << 12) - 1, seed=1)
+@given(
+    n=st.integers(1, 12),
+    mask=st.integers(0, (1 << 12) - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parity_flip_is_bit_identical_to_popcount_reference(n, mask, seed):
+    mask &= (1 << n) - 1
+    amps = np.random.default_rng(seed).standard_normal(1 << n)
+    amps[::7] = 0.0  # signed zeros must flip too
+    want = amps.copy()
+    oracles.parity_flip_popcount(want, mask)
+    kernels.parity_flip_inplace(amps, mask)
+    assert np.array_equal(amps, want)
+    assert np.array_equal(np.signbit(amps), np.signbit(want))
+
+
+def test_parity_flip_matches_popcount_reference_for_every_small_mask():
+    amps = np.arange(1.0, (1 << 8) + 1)
+    for mask in range(1 << 8):
+        got, want = amps.copy(), amps.copy()
+        kernels.parity_flip_inplace(got, mask)
+        oracles.parity_flip_popcount(want, mask)
+        assert np.array_equal(got, want), mask
+
+
+@settings(deadline=None, max_examples=300)
 @example(bits=[], level=3, target=4)  # size 0
 @example(bits=[1, 0], level=5, target=3)  # target below the start level
 @example(bits=[0, 0], level=2, target=2)  # target at the start level
