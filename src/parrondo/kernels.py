@@ -52,10 +52,25 @@ def parity_flip_inplace(amps, mask):
             np.negative(rows, out=rows)
 
 
-def ring_walk_wins(increments, modulus, win_table):
-    """Winning-round count of the wheel walk started at position 0."""
-    positions = np.cumsum(increments) % modulus
-    return int(win_table[positions].sum())
+def ring_walk_wins(increments, modulus, win_table, start):
+    """Winning rounds of the wheel walk from position start, and its end position."""
+    if increments.size == 0:
+        return 0, start
+    positions = np.cumsum(increments)
+    positions += start
+    positions %= modulus
+    return int(np.count_nonzero(win_table[positions])), int(positions[-1])
+
+
+# (first + t) & 1 for t < size is _PARITY[first & 1:][:size]; grown on demand
+_PARITY = np.zeros(0, dtype=np.uint8)
+
+
+def _parities(first, size):
+    global _PARITY
+    if _PARITY.size <= size:
+        _PARITY = (np.arange(2 * size + 2) & 1).astype(np.uint8)
+    return _PARITY[first & 1 : (first & 1) + size]
 
 
 def push_letters_until(bits, level, target):
@@ -75,9 +90,15 @@ def push_letters_until(bits, level, target):
     size = bits.size
     if size == 0:
         return 0, level, False
-    up = bits ^ (np.arange(level, level + size, dtype=np.int64) & 1)
-    z = level + np.cumsum(2 * up - 1)
-    reduced = z ^ (z >> 63)  # l = Z for Z >= 0, -Z-1 (= ~Z) below
+    # the steps are int8 and Z is int32 unless |Z| could reach 2**31
+    wide = np.int32 if level + size < 2**31 else np.int64
+    steps = bits.astype(np.uint8)
+    steps ^= _parities(level, size)
+    steps <<= 1
+    steps -= 1  # uint8 1 -> 1 and 0 -> 255, which is int8 -1
+    z = np.cumsum(steps.view(np.int8), dtype=wide)
+    z += level
+    reduced = z ^ (z >> (8 * z.itemsize - 1))  # l = Z for Z >= 0, -Z-1 (= ~Z) below
     hits = reduced == target
     t = int(hits.argmax())
     if hits[t]:

@@ -77,6 +77,34 @@ def cos_winning_count(modulus):
     )
 
 
+def ring_walk_wins_loop(increments, modulus, win_table, start):
+    """Wheel walk from position start, one Python step per rotation.
+
+    Same contract as kernels.ring_walk_wins: returns (winning rounds, end
+    position).
+    """
+    wins, position = 0, start
+    for increment in increments:
+        position = (position + int(increment)) % modulus
+        wins += int(win_table[position])
+    return wins, position
+
+
+def simulate_ring_one_shot(moduli, steps, seed):
+    """Winning rounds of a seeded wheel walk from 0, drawn and walked in one piece.
+
+    Every game choice is drawn first, then every rotation, each as one long
+    int64 draw; the win test is the integer form of cos(2 pi j / M) > 0.
+    """
+    moduli = np.array(moduli, dtype=np.int64)
+    M = int(np.prod(moduli))
+    rng = np.random.default_rng(seed)
+    chosen = moduli[rng.integers(0, moduli.size, size=steps)]
+    increments = (M // chosen) * rng.integers(0, chosen)
+    positions = np.cumsum(increments) % M
+    return int(np.count_nonzero((4 * positions < M) | (4 * positions > 3 * M)))
+
+
 def symbolic_push(word, letter):
     """Prepend a letter to a reduced letter list and re-reduce.
 

@@ -60,12 +60,49 @@ def test_parity_flip_matches_popcount_reference_for_every_small_mask():
         assert np.array_equal(got, want), mask
 
 
+@settings(deadline=None, max_examples=200)
+@example(increments=[], modulus=21, start=5)  # empty input keeps the start
+@example(increments=[0, 7, 7], modulus=21, start=0)  # 0 -> 7 -> 14 -> 0 wraps past M-1
+@example(increments=[3, 14, 20], modulus=21, start=19)  # nonzero start, wrap at once
+@given(
+    increments=st.lists(st.integers(0, 100), max_size=300),
+    modulus=st.integers(1, 50).map(lambda v: 2 * v + 1),
+    start=st.integers(0, 100),
+)
+def test_ring_walk_matches_loop_reference(increments, modulus, start):
+    start %= modulus
+    win_table = np.array(
+        [4 * j < modulus or 4 * j > 3 * modulus for j in range(modulus)], dtype=np.uint8
+    )
+    increments = np.array(increments, dtype=np.int64) % modulus
+    assert kernels.ring_walk_wins(increments, modulus, win_table, start) == (
+        oracles.ring_walk_wins_loop(increments, modulus, win_table, start)
+    )
+
+
+def test_ring_walk_hand_values():
+    win_table = np.array([1, 0, 0], dtype=np.uint8)  # M = 3: only 0 wins
+    empty = np.zeros(0, dtype=np.int64)
+    assert kernels.ring_walk_wins(empty, 3, win_table, 2) == (0, 2)
+    # 1 -> 2 -> 0 -> 0 -> 1: the wrap past 2 lands on the winning 0 twice
+    assert kernels.ring_walk_wins(np.array([1, 1, 0, 1]), 3, win_table, 1) == (2, 1)
+
+
+# level + size reaches 2**31 at the int32/int64 switch of push_letters_until
+_WIDE = 2**31
+
+
 @settings(deadline=None, max_examples=300)
 @example(bits=[], level=3, target=4)  # size 0
 @example(bits=[1, 0], level=5, target=3)  # target below the start level
 @example(bits=[0, 0], level=2, target=2)  # target at the start level
 @example(bits=[1, 0, 1, 0], level=0, target=4)  # hit on the last letter
 @example(bits=[0, 0, 0, 1, 1, 0], level=0, target=2)  # reflection at level 0
+@example(bits=[1, 0, 1], level=_WIDE - 4, target=_WIDE - 2)  # int32, hit at 2**31 - 2
+@example(bits=[1, 0, 1], level=_WIDE - 4, target=_WIDE - 1)  # int32, hit at its maximum
+@example(bits=[1, 0, 1, 0], level=_WIDE - 4, target=_WIDE)  # int64, hit at 2**31
+@example(bits=[0, 1, 0, 1, 0], level=_WIDE - 5, target=_WIDE + 1)  # int64, ends at 2**31
+@example(bits=[1] * 8, level=_WIDE + 5, target=_WIDE + 3)  # int64 throughout
 @given(
     bits=st.lists(st.integers(0, 1), max_size=400),
     level=st.integers(0, 30),
@@ -73,6 +110,20 @@ def test_parity_flip_matches_popcount_reference_for_every_small_mask():
 )
 def test_push_letters_matches_loop_reference(bits, level, target):
     bits = np.array(bits, dtype=np.uint8)
+    assert kernels.push_letters_until(bits, level, target) == oracles.push_letters_loops(
+        bits, level, target
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    bits=st.lists(st.integers(0, 1), max_size=400),
+    level=st.integers(_WIDE - 420, _WIDE + 20),
+    offset=st.integers(-20, 20),
+)
+def test_push_letters_matches_loop_reference_near_the_int64_switch(bits, level, offset):
+    bits = np.array(bits, dtype=np.uint8)
+    target = level + offset
     assert kernels.push_letters_until(bits, level, target) == oracles.push_letters_loops(
         bits, level, target
     )

@@ -1,6 +1,7 @@
 """Wheel games: exact values, solver behaviour, and Monte Carlo agreement."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -232,6 +233,47 @@ def test_simulate_ring_converges_to_exact_probability():
     se = math.sqrt(p * (1 - p) / steps)
     freq = float(ring.simulate_ring(game, steps, seed=2024).win_probability)
     assert abs(freq - p) <= 4 * se
+
+
+def _block_edges(block):
+    return (block - 1, block, block + 1, 3 * block + 7)
+
+
+@pytest.mark.parametrize("moduli", [(3,), (3, 7), (3, 5, 7), (3, 5, 7, 11, 13), (5, 9, 7)])
+def test_streamed_walk_matches_one_shot_walk(moduli):
+    # the streamed walk plays the very trajectory of one long draw
+    game = ring.CombinedRingGame.from_moduli(moduli)
+    for steps in (1, 2, *_block_edges(ring._WALK_BLOCK)):
+        for seed in (0, 3):
+            report = ring.simulate_ring(game, steps, seed)
+            assert report.winning_count == oracles.simulate_ring_one_shot(
+                moduli, steps, seed
+            ), (steps, seed)
+
+
+@pytest.mark.parametrize("block", [33, 4097])
+def test_streamed_walk_does_not_depend_on_the_block_size(monkeypatch, block):
+    monkeypatch.setattr(ring, "_WALK_BLOCK", block)
+    for moduli in ((3, 7), (3, 5, 7, 11, 13)):
+        game = ring.CombinedRingGame.from_moduli(moduli)
+        for steps in _block_edges(block):
+            for seed in (1, 2):
+                report = ring.simulate_ring(game, steps, seed)
+                assert report.winning_count == oracles.simulate_ring_one_shot(
+                    moduli, steps, seed
+                ), (moduli, steps, seed)
+
+
+def test_simulate_ring_memory_does_not_grow_with_steps():
+    # one-shot draws peak near 41 MB at 10**6 steps; a 2**16-step block takes 3 MB
+    game = ring.CombinedRingGame.from_moduli((3, 7))
+    tracemalloc.start()
+    try:
+        ring.simulate_ring(game, 10**6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
 
 
 def test_simulate_ring_rejects_bad_steps():
