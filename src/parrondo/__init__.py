@@ -9,7 +9,6 @@ over random reflection sequences that reduces to amplitude amplification.
 from . import bv, grover, kernels, ring, statevec
 from .ring import (
     CombinedRingGame,
-    Distribution,
     NonUniqueStationaryError,
     RateReport,
     RotationGame,
@@ -19,7 +18,7 @@ from .ring import (
     single_game_rate,
     stationary_distribution,
     transition_matrix,
-    winning_positions,
+    winning_count,
 )
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ __all__ = [
     "ring",
     "statevec",
     "CombinedRingGame",
-    "Distribution",
     "NonUniqueStationaryError",
     "RateReport",
     "RotationGame",
@@ -42,5 +40,5 @@ __all__ = [
     "single_game_rate",
     "stationary_distribution",
     "transition_matrix",
-    "winning_positions",
+    "winning_count",
 ]

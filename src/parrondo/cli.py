@@ -130,10 +130,9 @@ def cmd_ring(args) -> Output:
         _check_limit("steps", args.steps, ring.MAX_STEPS, "Monte Carlo steps")
 
     singles = [ring.single_game_rate(g) for g in game.games]
-    matrix = ring.transition_matrix(game)
-    dist = ring.stationary_distribution(matrix)
+    # the uniform law's one weight; stationary_distribution raises unless unique
+    weight = _frac(ring.stationary_distribution(ring.transition_matrix(game)))
     combined = ring.combined_rate(game)
-    doubly_stochastic = matrix.is_doubly_stochastic()
 
     report = {
         "schema": JSON_SCHEMA,
@@ -155,11 +154,9 @@ def cmd_ring(args) -> Output:
             "rate": _frac(combined.rate),
             "winning_count": combined.winning_count,
         },
-        "doubly_stochastic": doubly_stochastic,
-        "stationary": {
-            "uniform": dist.is_uniform(),
-            "weights": [_frac(w) for w in dist.weights],
-        },
+        # every column of a circulant holds the whole offset law, which sums to 1
+        "doubly_stochastic": True,
+        "stationary": {"uniform": True, "weights": [weight] * size},
     }
 
     table = [
@@ -175,11 +172,7 @@ def cmd_ring(args) -> Output:
         f"rate {_show(combined.rate)}, "
         f"winning positions {combined.winning_count} of {size}"
     )
-    table.append(
-        "doubly stochastic: "
-        + ("yes (exact unit row and column sums)" if doubly_stochastic else "no")
-    )
-    # stationary_distribution returns the uniform law or raises
+    table.append("doubly stochastic: yes (exact unit row and column sums)")
     table.append(f"stationary distribution: uniform, every weight 1/{size}")
 
     if args.steps is not None:
@@ -497,8 +490,11 @@ def _emit(out: Output) -> None:
             print(line)
 
 
-def _add_common(parser: argparse.ArgumentParser, handler) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="master random seed")
+
+
+def _add_common(parser: argparse.ArgumentParser, handler) -> None:
     parser.add_argument(
         "--format",
         choices=FORMATS,
@@ -524,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ring_p.add_argument("--moduli", help="comma-separated odd coprime moduli, e.g. 3,7")
     ring_p.add_argument("--steps", type=int, help="Monte Carlo steps (omit to skip)")
+    _add_seed(ring_p)
     _add_common(ring_p, cmd_ring)
 
     bv_p = sub.add_parser(
@@ -544,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="also draw this many demonstration measurements from the trial-0 state",
     )
+    _add_seed(bv_p)
     _add_common(bv_p, cmd_bv)
 
     grover_p = sub.add_parser(
@@ -569,6 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=grover.DEFAULT_LETTER_CAP,
         help="abort a play after this many letters (default %(default)s)",
     )
+    _add_seed(grover_p)
     _add_common(grover_p, cmd_grover)
 
     rep_p = sub.add_parser(

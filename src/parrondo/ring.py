@@ -26,9 +26,8 @@ __all__ = [
     "RotationGame",
     "CombinedRingGame",
     "TransitionMatrix",
-    "Distribution",
     "RateReport",
-    "winning_positions",
+    "winning_count",
     "single_game_rate",
     "transition_matrix",
     "stationary_distribution",
@@ -37,9 +36,11 @@ __all__ = [
 ]
 
 
-# Largest ring (product of the moduli) the CLI accepts.  The exact stationary
-# law and its JSON report grow peak memory by about 1.1 KB per position
-# (315 MB at M = 255,255); the next wheel, 19, would need several GB.
+# Largest ring (product of the moduli) the CLI accepts.  The exact side costs
+# O(sum of the moduli), and building simulate_ring's win table takes under
+# 20 bytes per position, but the JSON report still lists all M stationary
+# weights: about 0.8 KB of peak RSS per position (239 MB and 2.7 s at
+# M = 255,255 on a 2-core Xeon), so the next wheel, 19, would need about 4 GB.
 MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
@@ -93,7 +94,7 @@ class CombinedRingGame:
 
     @classmethod
     def from_moduli(cls, moduli: Iterable[int]) -> "CombinedRingGame":
-        return cls(tuple(RotationGame(int(m)) for m in moduli))
+        return cls(tuple(RotationGame(m) for m in moduli))
 
     @property
     def moduli(self) -> tuple[int, ...]:
@@ -130,39 +131,6 @@ class TransitionMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.offsets.get((j - i) % self.size, Fraction(0))
 
-    def column_sums(self) -> list[Fraction]:
-        # column j collects offsets[(j - i) % size] over all i: the whole law
-        return [sum(self.offsets.values(), Fraction(0))] * self.size
-
-    def is_doubly_stochastic(self) -> bool:
-        return all(s == 1 for s in self.column_sums())
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Exact probability vector over a finite state space."""
-
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(Fraction(w) for w in self.weights)
-        )
-        if not self.weights:
-            raise ValueError("distribution needs at least one weight")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("probability weights must be nonnegative")
-        if sum(self.weights) != 1:
-            raise ValueError("weights must sum to exactly 1")
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-    def is_uniform(self) -> bool:
-        u = Fraction(1, self.size)
-        return all(w == u for w in self.weights)
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -179,17 +147,15 @@ class RateReport:
             raise ValueError("rate must equal 2*win_probability - 1")
 
 
-def winning_positions(modulus: int) -> frozenset[int]:
-    """Indices j of Z_M whose pointer angle 2*pi*j/M lies in the upper half-circle.
+def winning_count(modulus: int) -> int:
+    """How many indices j of Z_M put the pointer angle 2*pi*j/M in the upper half-circle.
 
-    cos(2*pi*j/M) > 0 exactly when 4j < M or 4j > 3M, so the test is pure
-    integer comparison.  For odd M no index lands on the +-pi/2 boundary,
-    hence the strict test covers the closed winning arc.
+    cos(2*pi*j/M) > 0 exactly when 4j < M or 4j > 3M; for odd M no index
+    lands on the +-pi/2 boundary.  With q = M // 4 the first test holds for
+    j = 0..q and the second for j = M-q..M-1, so 2q + 1 indices win.
     """
     _check_modulus(modulus)
-    return frozenset(
-        j for j in range(modulus) if 4 * j < modulus or 4 * j > 3 * modulus
-    )
+    return 2 * (modulus // 4) + 1
 
 
 def transition_matrix(combined: CombinedRingGame) -> TransitionMatrix:
@@ -213,12 +179,13 @@ def transition_matrix(combined: CombinedRingGame) -> TransitionMatrix:
     return TransitionMatrix(M, offsets)
 
 
-def _require_unique_stationary(matrix: TransitionMatrix) -> None:
-    """Raise NonUniqueStationaryError unless the uniform law is the only stationary one.
+def stationary_distribution(matrix: TransitionMatrix) -> Fraction:
+    """The one weight 1/M of the chain's unique stationary law, which is uniform.
 
     A circulant is a random walk on the group Z_M, so the uniform law is
     always stationary; it is the only one exactly when the support offsets
-    generate Z_M, i.e. gcd(M, offsets) = 1.
+    generate Z_M, i.e. gcd(M, offsets) = 1.  Otherwise raises
+    NonUniqueStationaryError.
     """
     M = matrix.size
     g = math.gcd(M, *matrix.offsets)
@@ -227,15 +194,7 @@ def _require_unique_stationary(matrix: TransitionMatrix) -> None:
             f"support offsets generate only the multiples of {g} in Z_{M}; "
             "the stationary distribution is not unique"
         )
-
-
-def stationary_distribution(matrix: TransitionMatrix) -> Distribution:
-    """Unique stationary distribution of the chain, in exact rationals: the uniform law.
-
-    Raises NonUniqueStationaryError when the distribution is not unique.
-    """
-    _require_unique_stationary(matrix)
-    return Distribution((Fraction(1, matrix.size),) * matrix.size)
+    return Fraction(1, M)
 
 
 def single_game_rate(game: RotationGame) -> RateReport:
@@ -246,14 +205,15 @@ def single_game_rate(game: RotationGame) -> RateReport:
 def combined_rate(combined: CombinedRingGame) -> RateReport:
     """Exact win probability and rate of the combined game under its stationary law.
 
-    The law is uniform whenever it is unique, so the win probability is the
-    winning share of the M positions.
+    The rotation a = 1 of game i is the offset M/m_i.  A prime dividing M
+    divides exactly one of the pairwise coprime moduli, so it misses some
+    M/m_i: the offsets generate Z_M, and the law is the unique uniform one.
+    The win probability is then the winning share of the M positions.
     """
-    _require_unique_stationary(transition_matrix(combined))
     M = combined.modulus_product
-    wins = winning_positions(M)
-    p = Fraction(len(wins), M)
-    return RateReport(win_probability=p, rate=2 * p - 1, winning_count=len(wins))
+    count = winning_count(M)
+    p = Fraction(count, M)
+    return RateReport(win_probability=p, rate=2 * p - 1, winning_count=count)
 
 
 def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateReport:
@@ -276,9 +236,8 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     for size in blocks:
         rotations.integers(0, moduli.size, size=size)
     choices = np.random.default_rng(seed)
-    win_table = np.zeros(M, dtype=np.uint8)
-    for j in winning_positions(M):
-        win_table[j] = 1
+    j = np.arange(M)
+    win_table = (4 * j < M) | (4 * j > 3 * M)
     wins = position = 0
     for size in blocks:
         game = choices.integers(0, moduli.size, size=size)

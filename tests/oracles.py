@@ -77,6 +77,13 @@ def cos_winning_count(modulus):
     )
 
 
+def winning_positions(modulus):
+    """Indices j of Z_M with cos(2*pi*j/M) > 0, by the integer test 4j < M or 4j > 3M."""
+    return frozenset(
+        j for j in range(modulus) if 4 * j < modulus or 4 * j > 3 * modulus
+    )
+
+
 def ring_walk_wins_loop(increments, modulus, win_table, start):
     """Wheel walk from position start, one Python step per rotation.
 
@@ -128,10 +135,13 @@ def _solve_fraction(matrix, rhs):
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
+        # row r changes only where the pivot row is nonzero
+        support = [(j, w) for j, w in enumerate(aug[col]) if w != 0]
         for r in range(size):
             if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+                f, row = aug[r][col], aug[r]
+                for j, w in support:
+                    row[j] -= f * w
     return [row[size] for row in aug]
 
 

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, exit codes, reproducibility, config handling."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -446,7 +447,6 @@ ROUND_TRIPS = [
     (["grover", "-n", "4", "--trials", "5"], "letter_cap", ["--letter-cap", "30"], 30),
     (["grover", "-n", "4", "--trials", "5"], "seed", ["--seed", "9"], 9),
     (["grover", "-n", "4", "--trials", "5"], "format", ["--format", "json"], "json"),
-    (["reproduce"], "seed", ["--seed", "5"], 5),
     (["reproduce"], "format", ["--format", "json"], "json"),
 ]
 
@@ -481,6 +481,39 @@ def test_config_value_prints_what_its_flag_prints(
     by_flag = run_cli(capsys, *argv, *flag)
     assert by_flag[0] in (0, 3)
     assert run_cli(capsys, *argv, "--config", str(path)) == by_flag
+
+
+def test_reproduce_rejects_a_seed_it_would_not_read(tmp_path, capsys):
+    # reproduce pins its own seeds, so a seed flag or config key is an error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reproduce", "--seed", "9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 9}))
+    code, out, err = run_cli(capsys, "reproduce", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "unknown keys: seed" in err
+
+
+# stdout SHA-256s recorded for the benchmark; these runs must still print them
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "ring --moduli 3,7,11,19 --format json --seed 1",
+        "ring --moduli 3,7 --steps 1000000 --format json --seed 3",
+        "reproduce --format json",
+    ],
+)
+def test_stdout_matches_the_recorded_digest(capsys, command):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == recorded
 
 
 def test_missing_config_file_is_a_config_error(capsys):

@@ -20,6 +20,10 @@ def test_rotation_game_validation():
     for bad in (2, 1, 0, -3, 4, 3.0, True):
         with pytest.raises(ValueError):
             ring.RotationGame(bad)
+    # from_moduli passes each modulus through, so nothing is coerced to 3
+    for bad in ((3.9, 7), ("3", 7)):
+        with pytest.raises(ValueError, match="odd integer"):
+            ring.CombinedRingGame.from_moduli(bad)
 
 
 def test_combined_game_requires_coprime_moduli():
@@ -39,22 +43,23 @@ def test_combined_game_properties():
 
 
 def test_winning_positions_small_cases():
-    assert ring.winning_positions(3) == frozenset({0})
-    assert len(ring.winning_positions(21)) == 11
-    assert len(ring.winning_positions(77)) == 39
-    assert ring.winning_positions(21) == frozenset(range(6)) | frozenset(range(16, 21))
+    assert oracles.winning_positions(3) == frozenset({0})
+    assert oracles.winning_positions(21) == frozenset(range(6)) | frozenset(range(16, 21))
+    assert ring.winning_count(3) == 1
+    assert ring.winning_count(21) == 11
+    assert ring.winning_count(77) == 39
     with pytest.raises(ValueError):
-        ring.winning_positions(4)
+        ring.winning_count(4)
     with pytest.raises(ValueError):
-        ring.winning_positions(1)
+        ring.winning_count(1)
 
 
 @settings(deadline=None)
 @given(st.integers(1, 499).map(lambda v: 2 * v + 1))
 def test_winning_count_matches_cosine_and_closed_form(modulus):
-    count = len(ring.winning_positions(modulus))
+    count = ring.winning_count(modulus)
     assert count == oracles.cos_winning_count(modulus)
-    assert count == 2 * (modulus // 4) + 1
+    assert count == len(oracles.winning_positions(modulus))
 
 
 def test_transition_matrix_combined_values():
@@ -66,8 +71,7 @@ def test_transition_matrix_combined_values():
     # a step of game A (m=3) moves by multiples of 7
     assert matrix.entry(0, 7) == Fraction(1, 6)
     assert matrix.entry(0, 3) == Fraction(1, 14)
-    assert matrix.column_sums() == [Fraction(1)] * 21
-    assert matrix.is_doubly_stochastic()
+    assert [sum(matrix.entry(i, j) for i in range(21)) for j in range(21)] == [1] * 21
 
 
 def test_transition_matrix_single_game_rows_are_uniform():
@@ -87,14 +91,6 @@ def test_transition_matrix_validation():
         ring.TransitionMatrix(3, {-1: Fraction(1)})
 
 
-def test_distribution_validation():
-    ring.Distribution((Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        ring.Distribution((Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        ring.Distribution((Fraction(3, 2), Fraction(-1, 2)))
-
-
 def test_rate_report_invariant():
     ring.RateReport(Fraction(11, 21), Fraction(1, 21), 11)
     with pytest.raises(ValueError):
@@ -106,9 +102,8 @@ def test_rate_report_invariant():
 def test_stationary_distribution_uniform_cases():
     for moduli in ((3, 7), (7,), (7, 11)):
         game = ring.CombinedRingGame.from_moduli(moduli)
-        dist = ring.stationary_distribution(ring.transition_matrix(game))
-        assert dist.is_uniform()
-        assert dist.size == game.modulus_product
+        weight = ring.stationary_distribution(ring.transition_matrix(game))
+        assert weight == Fraction(1, game.modulus_product)
 
 
 def _dense_rows(matrix):
@@ -122,9 +117,8 @@ def test_dense_solver_agrees_with_candidate_path():
     # the uniform law the package returns without solving anything
     for moduli in ((3,), (5,), (3, 7), (3, 11)):
         matrix = ring.transition_matrix(ring.CombinedRingGame.from_moduli(moduli))
-        dist = ring.stationary_distribution(matrix)
-        assert dist.is_uniform()
-        assert list(dist.weights) == oracles.exact_stationary(_dense_rows(matrix))
+        weight = ring.stationary_distribution(matrix)
+        assert [weight] * matrix.size == oracles.exact_stationary(_dense_rows(matrix))
 
 
 def test_stationary_detects_non_unique_solutions():
@@ -158,11 +152,52 @@ def test_stationary_uniqueness_matches_oracle_rank(case):
         [rows[j][i] - (i == j) for j in range(size)] for i in range(size)
     ]  # P^T - I
     if oracles.fraction_rank(generator) == size - 1:
-        dist = ring.stationary_distribution(matrix)
-        assert list(dist.weights) == oracles.exact_stationary(rows)
+        weight = ring.stationary_distribution(matrix)
+        assert [weight] * size == oracles.exact_stationary(rows)
     else:
         with pytest.raises(ring.NonUniqueStationaryError):
             ring.stationary_distribution(matrix)
+
+
+@st.composite
+def constructible_games(draw, limit=60):
+    """Pairwise coprime odd moduli, in drawn order, whose product is at most limit."""
+    moduli = []
+    while True:
+        room = limit // math.prod(moduli)
+        fits = [
+            m for m in range(3, room + 1, 2) if all(math.gcd(m, k) == 1 for k in moduli)
+        ]
+        if not fits or (moduli and not draw(st.booleans())):
+            return tuple(moduli)
+        moduli.append(draw(st.sampled_from(fits)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(constructible_games())
+def test_combined_rate_is_the_oracle_law_on_the_winning_arc(moduli):
+    # pairwise coprime moduli always give offsets that generate Z_M, so the
+    # closed form needs no uniqueness test of its own
+    game = ring.CombinedRingGame.from_moduli(moduli)
+    matrix = ring.transition_matrix(game)
+    M = game.modulus_product
+    assert math.gcd(M, *matrix.offsets) == 1
+    law = oracles.exact_stationary(_dense_rows(matrix))
+    on_arc = sum(law[j] for j in oracles.winning_positions(M))
+    assert ring.combined_rate(game).win_probability == on_arc
+
+
+def test_exact_side_memory_does_not_grow_with_the_ring():
+    # M = 255,255; an M-entry Fraction law and winning set would take 15.8 MB
+    game = ring.CombinedRingGame.from_moduli((3, 5, 7, 11, 13, 17))
+    tracemalloc.start()
+    try:
+        ring.combined_rate(game)
+        ring.stationary_distribution(ring.transition_matrix(game))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_single_game_rates():
