@@ -21,8 +21,6 @@ import numpy as np
 
 from . import kernels, statevec
 
-LETTER_A = "A"
-LETTER_B = "B"
 DEFAULT_LETTER_CAP = 10_000_000
 
 _STREAM_BLOCK = 1 << 14
@@ -34,21 +32,15 @@ _STREAM_BLOCK = 1 << 14
 MAX_TRIALS = 10**6
 
 __all__ = [
-    "LETTER_A",
-    "LETTER_B",
     "DEFAULT_LETTER_CAP",
     "MAX_TRIALS",
     "StoppingCapExceeded",
-    "StoppingStrategy",
-    "PlayRecord",
     "WaitingTimeStats",
-    "reduce_push",
     "realize_word",
     "sweep_success",
     "success_after_k",
     "canonical_k",
     "best_k",
-    "play",
     "waiting_time_stats",
     "expected_stopping_index",
     "stopping_index_variance",
@@ -57,25 +49,6 @@ __all__ = [
 
 class StoppingCapExceeded(RuntimeError):
     """A play consumed its letter cap without reaching the stopping length."""
-
-
-def reduce_push(length: int, letter: str) -> int:
-    """Feed one letter into the streamed reduced word, returning the new length.
-
-    New letters multiply on the left.  At even length (word starts with B or
-    is empty) an A extends and a B cancels, except that B on the empty word is
-    absorbed by the start state; at odd length (word starts with A) the roles
-    swap.
-    """
-    if length < 0:
-        raise ValueError(f"reduced length must be >= 0, got {length}")
-    if letter == LETTER_A:
-        return length - 1 if length % 2 else length + 1
-    if letter == LETTER_B:
-        if length % 2:
-            return length + 1
-        return length - 1 if length > 0 else 0
-    raise ValueError(f"letter must be 'A' or 'B', got {letter!r}")
 
 
 def _rounds(n: int, alpha: int):
@@ -152,26 +125,6 @@ def best_k(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class StoppingStrategy:
-    """Stop at the first moment the reduced word holds target_k full rounds."""
-
-    target_k: int
-
-    def __post_init__(self):
-        if self.target_k < 1:
-            raise ValueError(f"target_k must be >= 1, got {self.target_k}")
-
-
-@dataclass(frozen=True)
-class PlayRecord:
-    """Outcome of one play: letters consumed, exact success, and its seed."""
-
-    stopping_index: int
-    success_probability: float
-    sequence_seed: int
-
-
-@dataclass(frozen=True)
 class WaitingTimeStats:
     """Empirical summary of stopping indices over independent plays."""
 
@@ -190,7 +143,9 @@ def _stopping_index(rng: np.random.Generator, target_length: int, letter_cap: in
     letters, and each later block doubles up to _STREAM_BLOCK.  Block sizes
     are multiples of 4 because uint8 draws take whole 32-bit words, so the
     blocks give exactly the letters of one long draw and seeded plays do not
-    depend on the block sizes.
+    depend on the block sizes.  The walk reaches every level with probability
+    one, so letter_cap only turns a pathological stream into a loud
+    StoppingCapExceeded instead of a hang.
     """
     consumed = 0
     level = 0
@@ -206,29 +161,6 @@ def _stopping_index(rng: np.random.Generator, target_length: int, letter_cap: in
         block = min(2 * block, _STREAM_BLOCK)
     raise StoppingCapExceeded(
         f"no stop at reduced length {target_length} within {letter_cap} letters"
-    )
-
-
-def play(
-    n: int,
-    alpha: int,
-    strategy: StoppingStrategy,
-    seed: int,
-    letter_cap: int = DEFAULT_LETTER_CAP,
-) -> PlayRecord:
-    """One seeded play: stream letters, stop, realise the word, measure.
-
-    The reflected letter walk reaches every even level with probability one,
-    so the cap only turns pathological seeds into a loud StoppingCapExceeded
-    instead of a hang.
-    """
-    rng = np.random.default_rng(seed)
-    stopping_index = _stopping_index(rng, 2 * strategy.target_k, letter_cap)
-    state = realize_word(2 * strategy.target_k, n, alpha)
-    return PlayRecord(
-        stopping_index=stopping_index,
-        success_probability=statevec.probability_of(state, alpha),
-        sequence_seed=seed,
     )
 
 

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bv, grover, ring
+import numpy as np
+
+from . import bv, grover, kernels, ring, statevec
 
 MC_SEEDS = (1, 2, 3, 4, 5)
 MC_STEPS = 10**6
@@ -196,10 +198,6 @@ def _bv_rows():
 
 
 def _identity_rows():
-    import numpy as np
-
-    from . import statevec
-
     rng = np.random.default_rng(90210)
     worst = 0.0
     for n in range(2, 11):
@@ -226,10 +224,6 @@ def _identity_rows():
 
 
 def _word_soundness_row():
-    import numpy as np
-
-    from . import statevec
-
     rng = np.random.default_rng(777)
     worst = 0.0
     for _ in range(200):
@@ -237,14 +231,13 @@ def _word_soundness_row():
         alpha = int(rng.integers(0, 1 << n))
         letters = rng.integers(0, 2, size=int(rng.integers(1, 201)))
         direct = statevec.uniform_state(n)
-        length = 0
         for bit in letters:
             if bit:
                 direct = statevec.flip_sign_at(direct, alpha)
-                length = grover.reduce_push(length, grover.LETTER_A)
             else:
                 direct = statevec.diffusion(direct)
-                length = grover.reduce_push(length, grover.LETTER_B)
+        # no reduced length is -1, so the kernel runs through every letter
+        _, length, _ = kernels.push_letters_until(letters, 0, -1)
         reduced = grover.realize_word(length, n, alpha)
         worst = max(worst, float(np.max(np.abs(direct - reduced))))
     yield _row(

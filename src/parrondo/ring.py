@@ -137,14 +137,15 @@ class RateReport:
     """Win probability and per-round rate, payoff +1 per win and -1 per loss."""
 
     win_probability: Fraction
-    rate: Fraction
     winning_count: int
 
     def __post_init__(self):
         if not (0 <= self.win_probability <= 1):
             raise ValueError(f"win probability {self.win_probability} outside [0, 1]")
-        if self.rate != 2 * self.win_probability - 1:
-            raise ValueError("rate must equal 2*win_probability - 1")
+
+    @property
+    def rate(self) -> Fraction:
+        return 2 * self.win_probability - 1
 
 
 def winning_count(modulus: int) -> int:
@@ -213,7 +214,7 @@ def combined_rate(combined: CombinedRingGame) -> RateReport:
     M = combined.modulus_product
     count = winning_count(M)
     p = Fraction(count, M)
-    return RateReport(win_probability=p, rate=2 * p - 1, winning_count=count)
+    return RateReport(win_probability=p, winning_count=count)
 
 
 def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateReport:
@@ -245,4 +246,4 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
         block_wins, position = kernels.ring_walk_wins(increments, M, win_table, position)
         wins += block_wins
     p = Fraction(wins, steps)
-    return RateReport(win_probability=p, rate=2 * p - 1, winning_count=wins)
+    return RateReport(win_probability=p, winning_count=wins)

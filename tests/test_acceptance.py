@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from parrondo import bv, cli, grover, ring, statevec
+from parrondo import bv, cli, grover, kernels, ring, statevec
 
 import oracles
 
@@ -149,14 +149,12 @@ def test_criterion_07_grover_identities_and_word_soundness():
         alpha = int(rng.integers(0, 1 << n))
         letters = rng.integers(0, 2, size=int(rng.integers(1, 201)))
         direct = statevec.uniform_state(n)
-        length = 0
         for bit in letters:
             if bit:
                 direct = statevec.flip_sign_at(direct, alpha)
-                length = grover.reduce_push(length, "A")
             else:
                 direct = statevec.diffusion(direct)
-                length = grover.reduce_push(length, "B")
+        _, length, _ = kernels.push_letters_until(letters, 0, -1)
         worst = max(
             worst, float(np.max(np.abs(direct - grover.realize_word(length, n, alpha))))
         )

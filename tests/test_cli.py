@@ -2,8 +2,10 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import parrondo
 from parrondo import bv, cli, grover, kernels, reproduce, ring, statevec
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -507,6 +510,11 @@ DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
         "ring --moduli 3,7,11,19 --format json --seed 1",
         "ring --moduli 3,7 --steps 1000000 --format json --seed 3",
         "reproduce --format json",
+        "bv -n 6 --alpha 5 --mode fixed-half --format json --seed 1",
+        "bv -n 3 --mode independent --exhaustive --format json --seed 1",
+        "grover -n 4 --strategy canonical --format json --seed 1",
+        "grover -n 3 --strategy best --format json --seed 1",
+        "grover -n 4 --sweep --format csv --seed 1",
     ],
 )
 def test_stdout_matches_the_recorded_digest(capsys, command):
@@ -526,6 +534,17 @@ def test_no_subcommand_prints_help(capsys):
     code, out, _ = run_cli(capsys)
     assert code == 2
     assert "usage" in out
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["parrondo"]
+    + [f"parrondo.{info.name}" for info in pkgutil.iter_modules(parrondo.__path__)],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_module_entry_point_runs():

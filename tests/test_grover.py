@@ -8,38 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parrondo import grover, statevec
+from parrondo import grover, kernels, statevec
 
 import oracles
 
 ATOL = 1e-12
 
 
-def test_reduce_push_transition_table():
-    assert grover.reduce_push(0, "B") == 0  # absorbed by the start state
-    assert grover.reduce_push(0, "A") == 1
-    assert grover.reduce_push(1, "B") == 2  # B then A is one full round
-    assert grover.reduce_push(1, "A") == 0  # A cancels itself
-    assert grover.reduce_push(2, "B") == 1
-    assert grover.reduce_push(2, "A") == 3
-    assert grover.reduce_push(3, "A") == 2
-    assert grover.reduce_push(3, "B") == 4
-
-
-def test_reduce_push_validation():
-    with pytest.raises(ValueError):
-        grover.reduce_push(-1, "A")
-    with pytest.raises(ValueError):
-        grover.reduce_push(0, "C")
-
-
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.sampled_from(["A", "B"]), max_size=120))
 def test_reduce_push_matches_symbolic_reducer(letters):
-    length = 0
+    # the kernel's final reduced length, with a target (-1) it never reaches
+    bits = np.array([letter == "A" for letter in letters], dtype=np.uint8)
+    _, length, _ = kernels.push_letters_until(bits, 0, -1)
     word = []
     for letter in letters:
-        length = grover.reduce_push(length, letter)
         word = oracles.symbolic_push(word, letter)
     assert length == len(word)
     # the reduced word alternates and, when nonempty, ends in A
@@ -69,14 +52,12 @@ def test_word_reduction_is_sound(n, seed, size):
     alpha = int(rng.integers(0, 1 << n))
     letters = rng.integers(0, 2, size=size)
     direct = statevec.uniform_state(n)
-    length = 0
     for bit in letters:
         if bit:
             direct = statevec.flip_sign_at(direct, alpha)
-            length = grover.reduce_push(length, "A")
         else:
             direct = statevec.diffusion(direct)
-            length = grover.reduce_push(length, "B")
+    _, length, _ = kernels.push_letters_until(letters, 0, -1)
     assert np.max(np.abs(direct - grover.realize_word(length, n, alpha))) < ATOL
 
 
@@ -141,36 +122,7 @@ def test_best_k_beats_one_half_everywhere():
         assert grover.success_after_k(n, grover.best_k(n)) > 0.5
 
 
-def test_stopping_strategy_validation():
-    grover.StoppingStrategy(1)
-    with pytest.raises(ValueError):
-        grover.StoppingStrategy(0)
-
-
-def test_play_single_round_is_certain_at_two_qubits():
-    for seed in range(10):
-        record = grover.play(2, 2, grover.StoppingStrategy(1), seed)
-        assert abs(record.success_probability - 1.0) < ATOL
-        assert record.stopping_index >= 2
-        assert record.sequence_seed == seed
-
-
-def test_play_success_depends_only_on_the_reduced_word():
-    want = grover.success_after_k(4, 4)
-    for seed in range(50):
-        record = grover.play(4, 7, grover.StoppingStrategy(4), seed)
-        assert abs(record.success_probability - want) < 1e-10
-
-
-def test_play_is_deterministic():
-    a = grover.play(3, 1, grover.StoppingStrategy(2), seed=99)
-    b = grover.play(3, 1, grover.StoppingStrategy(2), seed=99)
-    assert a == b
-
-
 def test_letter_stream_stays_at_zero_until_first_a():
-    from parrondo import kernels
-
     bits = np.array([0, 0, 0, 1], dtype=np.uint8)
     consumed, level, hit = kernels.push_letters_until(bits, 0, 1)
     assert (consumed, level, hit) == (4, 1, True)
@@ -210,11 +162,6 @@ def test_uint8_draws_in_pieces_of_four_match_one_draw():
     rng = np.random.default_rng(7)
     pieces = [rng.integers(0, 2, size=size, dtype=np.uint8) for size in (64, 4, 132, 800)]
     assert np.array_equal(np.concatenate(pieces), whole)
-
-
-def test_play_cap_is_a_loud_error():
-    with pytest.raises(grover.StoppingCapExceeded):
-        grover.play(3, 1, grover.StoppingStrategy(50), seed=1, letter_cap=30)
 
 
 def test_expected_stopping_index_closed_form():
