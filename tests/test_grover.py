@@ -15,6 +15,24 @@ import oracles
 ATOL = 1e-12
 
 
+def test_reduce_push_transition_table():
+    # one letter from levels 0-3 (1 is A, 0 is B); -1 is a target no
+    # reduced length reaches, so the kernel takes the letter and stops
+    table = {
+        (0, 0): 0,  # B absorbed by the start state
+        (0, 1): 1,
+        (1, 0): 2,  # B then A is one full round
+        (1, 1): 0,  # A cancels itself
+        (2, 0): 1,
+        (2, 1): 3,
+        (3, 1): 2,
+        (3, 0): 4,
+    }
+    for (level, letter), want in table.items():
+        one = np.array([letter], np.uint8)
+        assert kernels.push_letters_until(one, level, -1) == (1, want, False)
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.sampled_from(["A", "B"]), max_size=120))
 def test_reduce_push_matches_symbolic_reducer(letters):

@@ -141,21 +141,6 @@ def test_push_letters_edge_cases():
     # a hit on the last letter
     bits = np.array([1, 0, 1, 0], np.uint8)
     assert kernels.push_letters_until(bits, 0, 4) == (4, 4, True)
-    # one letter from levels 0-3: (level, letter) -> next level, where -1
-    # is a target no reduced length reaches
-    table = {
-        (0, 0): 0,  # B absorbed by the start state
-        (0, 1): 1,
-        (1, 0): 2,  # B then A is one full round
-        (1, 1): 0,  # A cancels itself
-        (2, 0): 1,
-        (2, 1): 3,
-        (3, 0): 4,
-        (3, 1): 2,
-    }
-    for (level, letter), want in table.items():
-        one = np.array([letter], np.uint8)
-        assert kernels.push_letters_until(one, level, -1) == (1, want, False)
 
 
 def test_push_letters_long_block_matches_loop_reference():
