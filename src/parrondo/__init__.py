@@ -7,19 +7,6 @@ over random reflection sequences that reduces to amplitude amplification.
 """
 
 from . import bv, grover, kernels, ring, statevec
-from .ring import (
-    CombinedRingGame,
-    NonUniqueStationaryError,
-    RateReport,
-    RotationGame,
-    TransitionMatrix,
-    combined_rate,
-    simulate_ring,
-    single_game_rate,
-    stationary_distribution,
-    transition_matrix,
-    winning_count,
-)
 
 __version__ = "0.1.0"
 
@@ -30,15 +17,4 @@ __all__ = [
     "kernels",
     "ring",
     "statevec",
-    "CombinedRingGame",
-    "NonUniqueStationaryError",
-    "RateReport",
-    "RotationGame",
-    "TransitionMatrix",
-    "combined_rate",
-    "simulate_ring",
-    "single_game_rate",
-    "stationary_distribution",
-    "transition_matrix",
-    "winning_count",
 ]

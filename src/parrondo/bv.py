@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevec
+from . import kernels, statevec
 
 NOISELESS = "noiseless"
 FIXED_HALF = "fixed-half"
@@ -61,11 +61,14 @@ def _check_alpha(n: int, alpha: int) -> None:
 
 
 def flip_candidates(n: int, alpha: int) -> np.ndarray:
-    """All basis indices y with y . alpha = 1, ascending; 2**(n-1) of them."""
+    """All basis indices y with y . alpha = 1, ascending; 2**(n-1) of them.
+
+    The same parity pass as the phase oracle marks them, on int8 signs.
+    """
     _check_alpha(n, alpha)
-    idx = np.arange(1 << n, dtype=np.uint64)
-    odd = (np.bitwise_count(idx & np.uint64(alpha)) & 1).astype(bool)
-    return np.nonzero(odd)[0].astype(np.int64)
+    signs = np.ones(1 << n, dtype=np.int8)
+    kernels.parity_flip_inplace(signs, alpha)
+    return np.flatnonzero(signs < 0)
 
 
 def first_candidate(n: int, alpha: int) -> int:

@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import bv, grover, reproduce, ring, statevec
-from .grover import StoppingCapExceeded
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -130,8 +129,8 @@ def cmd_ring(args) -> Output:
         _check_limit("steps", args.steps, ring.MAX_STEPS, "Monte Carlo steps")
 
     singles = [ring.single_game_rate(g) for g in game.games]
-    # the uniform law's one weight; stationary_distribution raises unless unique
-    weight = _frac(ring.stationary_distribution(ring.transition_matrix(game)))
+    # the law is uniform and unique for every combined game (see combined_rate)
+    weight = _frac(Fraction(1, size))
     combined = ring.combined_rate(game)
 
     report = {
@@ -591,9 +590,6 @@ def main(argv=None) -> int:
             args.subparser.set_defaults(**config)
             args = parser.parse_args(argv)
         out = args.handler(args)
-    except StoppingCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

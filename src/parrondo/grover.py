@@ -34,7 +34,6 @@ MAX_TRIALS = 10**6
 __all__ = [
     "DEFAULT_LETTER_CAP",
     "MAX_TRIALS",
-    "StoppingCapExceeded",
     "WaitingTimeStats",
     "realize_word",
     "sweep_success",
@@ -45,10 +44,6 @@ __all__ = [
     "expected_stopping_index",
     "stopping_index_variance",
 ]
-
-
-class StoppingCapExceeded(RuntimeError):
-    """A play consumed its letter cap without reaching the stopping length."""
 
 
 def _rounds(n: int, alpha: int):
@@ -135,7 +130,9 @@ class WaitingTimeStats:
     cap_exceeded: int
 
 
-def _stopping_index(rng: np.random.Generator, target_length: int, letter_cap: int) -> int:
+def _stopping_index(
+    rng: np.random.Generator, target_length: int, letter_cap: int
+) -> int | None:
     """Letters consumed until the reduced length first equals target_length.
 
     Letters are drawn in blocks sized to the play: the first covers the exact
@@ -144,8 +141,8 @@ def _stopping_index(rng: np.random.Generator, target_length: int, letter_cap: in
     are multiples of 4 because uint8 draws take whole 32-bit words, so the
     blocks give exactly the letters of one long draw and seeded plays do not
     depend on the block sizes.  The walk reaches every level with probability
-    one, so letter_cap only turns a pathological stream into a loud
-    StoppingCapExceeded instead of a hang.
+    one, so letter_cap only bounds a pathological stream: a play that spends
+    letter_cap letters without stopping returns None instead of hanging.
     """
     consumed = 0
     level = 0
@@ -159,9 +156,7 @@ def _stopping_index(rng: np.random.Generator, target_length: int, letter_cap: in
         if hit:
             return consumed
         block = min(2 * block, _STREAM_BLOCK)
-    raise StoppingCapExceeded(
-        f"no stop at reduced length {target_length} within {letter_cap} letters"
-    )
+    return None
 
 
 def expected_stopping_index(target_k: int) -> Fraction:
@@ -211,10 +206,11 @@ def waiting_time_stats(
         # child i of the seed, made when play i runs: the same stream as
         # SeedSequence(seed).spawn(trials)[i]
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        try:
-            times.append(_stopping_index(rng, 2 * target_k, letter_cap))
-        except StoppingCapExceeded:
+        index = _stopping_index(rng, 2 * target_k, letter_cap)
+        if index is None:
             cap_exceeded += 1
+        else:
+            times.append(index)
     if times:
         arr = np.array(times, dtype=np.float64)
         mean, variance, peak = float(arr.mean()), float(arr.var()), int(arr.max())

@@ -18,7 +18,6 @@ __all__ = [
     "MAX_QUBITS",
     "num_qubits",
     "uniform_state",
-    "basis_state",
     "hadamard_all",
     "phase_oracle",
     "flip_sign_at",
@@ -51,15 +50,6 @@ def uniform_state(n: int) -> np.ndarray:
     """Equal superposition over all 2**n basis states."""
     _check_qubit_count(n)
     return np.full(1 << n, 2.0 ** (-n / 2.0))
-
-
-def basis_state(n: int, x: int) -> np.ndarray:
-    """Computational basis state |x> on n qubits."""
-    _check_qubit_count(n)
-    _check_index(n, x)
-    state = np.zeros(1 << n)
-    state[x] = 1.0
-    return state
 
 
 def hadamard_all(state) -> np.ndarray:

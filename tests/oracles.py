@@ -51,6 +51,20 @@ def parity_flip_popcount(amps, mask):
     amps[odd] *= -1.0
 
 
+def flip_candidates_popcount(n, alpha):
+    """Indices y with y . alpha = 1, ascending int64, from one uint64 popcount pass."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    odd = (np.bitwise_count(idx & np.uint64(alpha)) & 1).astype(bool)
+    return np.nonzero(odd)[0].astype(np.int64)
+
+
+def basis_state(n, x):
+    """Computational basis state |x> on n qubits."""
+    state = np.zeros(1 << n)
+    state[x] = 1.0
+    return state
+
+
 def dense_phase_oracle(n, alpha):
     """Diagonal (-1)**(x . alpha) matrix."""
     signs = [(-1.0) ** bin(x & alpha).count("1") for x in range(1 << n)]

@@ -1,6 +1,7 @@
 """Unreliable-oracle game: noise bookkeeping, closed form, baselines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,27 @@ def test_flip_candidates_small():
     assert list(bv.flip_candidates(2, 3)) == [1, 2]
     for n in range(2, 8):
         assert bv.flip_candidates(n, 1).size == 1 << (n - 1)
+
+
+def test_flip_candidates_match_popcount_reference():
+    for n in range(1, 9):
+        for alpha in range(1, 1 << n):
+            got = bv.flip_candidates(n, alpha)
+            want = oracles.flip_candidates_popcount(n, alpha)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+def test_flip_candidates_peak_memory_at_22_qubits():
+    # int8 signs (4 MB), their bool mask (4 MB) and the 2**21 int64 indices
+    # (16 MB); oracles.flip_candidates_popcount's uint64 pass peaks near 68 MB
+    tracemalloc.start()
+    try:
+        bv.flip_candidates(22, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_alpha_zero_rejected_everywhere():

@@ -515,6 +515,8 @@ DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
         "grover -n 4 --strategy canonical --format json --seed 1",
         "grover -n 3 --strategy best --format json --seed 1",
         "grover -n 4 --sweep --format csv --seed 1",
+        "bv -n 22 --format json --seed 1",
+        "grover -n 13 --format json --seed 1",
     ],
 )
 def test_stdout_matches_the_recorded_digest(capsys, command):

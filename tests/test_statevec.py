@@ -32,19 +32,10 @@ def test_uniform_state_rejects_bad_qubit_count(n):
         statevec.uniform_state(n)
 
 
-def test_basis_state_values():
-    assert np.array_equal(statevec.basis_state(2, 0), [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(statevec.basis_state(2, 3), [0.0, 0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        statevec.basis_state(2, 4)
-    with pytest.raises(ValueError):
-        statevec.basis_state(2, -1)
-
-
 def test_hadamard_of_zero_is_uniform():
     # exact: the transform of e_0 is all ones, scaled by the same 2**(-n/2)
     for n in range(1, 15):
-        got = statevec.hadamard_all(statevec.basis_state(n, 0))
+        got = statevec.hadamard_all(oracles.basis_state(n, 0))
         assert np.array_equal(got, statevec.uniform_state(n))
 
 
@@ -73,10 +64,13 @@ def test_phase_oracle_parity_pattern():
 
 
 def test_flip_sign_at_values():
-    got = statevec.flip_sign_at(statevec.basis_state(2, 0), 0)
+    got = statevec.flip_sign_at(oracles.basis_state(2, 0), 0)
     assert np.array_equal(got, [-1.0, 0.0, 0.0, 0.0])
     got = statevec.flip_sign_at(statevec.uniform_state(2), 1)
     assert np.max(np.abs(got - [0.5, -0.5, 0.5, 0.5])) < ATOL
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            statevec.flip_sign_at(statevec.uniform_state(2), bad)
 
 
 def test_diffusion_fixes_uniform_state():
@@ -86,13 +80,13 @@ def test_diffusion_fixes_uniform_state():
 
 
 def test_diffusion_of_basis_state():
-    got = statevec.diffusion(statevec.basis_state(2, 0))
+    got = statevec.diffusion(oracles.basis_state(2, 0))
     assert np.max(np.abs(got - [-0.5, 0.5, 0.5, 0.5])) < ATOL
 
 
 def test_probability_of():
     assert abs(statevec.probability_of(statevec.uniform_state(3), 5) - 0.125) < ATOL
-    assert statevec.probability_of(statevec.basis_state(3, 2), 2) == 1.0
+    assert statevec.probability_of(oracles.basis_state(3, 2), 2) == 1.0
     v = random_unit(4, 9)
     total = sum(statevec.probability_of(v, x) for x in range(16))
     assert abs(total - 1.0) < ATOL
@@ -148,7 +142,7 @@ def test_num_qubits_validation():
 
 
 def test_sample_basis_is_seeded_and_concentrated():
-    state = statevec.basis_state(3, 6)
+    state = oracles.basis_state(3, 6)
     rng = np.random.default_rng(5)
     outcomes = statevec.sample_basis(state, 50, rng)
     assert np.all(outcomes == 6)
