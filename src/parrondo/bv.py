@@ -169,7 +169,9 @@ def run_game(n: int, alpha: int, mode: str, seed: int) -> BvResult:
     """One seeded play of H..O..H from |0...0>, success read off the amplitudes.
 
     The first Hadamard layer maps |0...0> to the uniform state, which is
-    built directly, so a play runs one transform, not two.
+    built directly; of the last layer only the amplitude on alpha is read
+    (statevec.hadamard_probability), so a play costs O(2**n), not a full
+    O(n 2**n) transform.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -177,8 +179,7 @@ def run_game(n: int, alpha: int, mode: str, seed: int) -> BvResult:
     rng = np.random.default_rng(seed)
     realization = draw_realization(n, alpha, mode, rng)
     state = noisy_oracle(statevec.uniform_state(n), realization)
-    state = statevec.hadamard_all(state)
-    return BvResult(statevec.probability_of(state, alpha), realization)
+    return BvResult(statevec.hadamard_probability(state, alpha), realization)
 
 
 def exact_success(n: int, unflipped_count: int) -> float:
@@ -197,22 +198,21 @@ def single_reflection_baseline(n: int, alpha: int, y: int) -> float:
     """Success when the player reflects about a single |y> instead of the oracle.
 
     Evaluates |<alpha| H (flip y) H |0...0>|**2 through the state-vector
-    pipeline, starting from the uniform state H|0...0>; the value is 4/4**n
-    for every eligible y.
+    pipeline, starting from the uniform state H|0...0> and reading the one
+    transform entry on alpha; the value is 4/4**n for every eligible y.
     """
     _check_alpha(n, alpha)
     if _dot(y, alpha) != 1:
         raise ValueError(f"reflection index y={y} must satisfy y . alpha = 1")
     state = statevec.flip_sign_at(statevec.uniform_state(n), y)
-    state = statevec.hadamard_all(state)
-    return statevec.probability_of(state, alpha)
+    return statevec.hadamard_probability(state, alpha)
 
 
 def independent_exhaustive_mean(n: int, alpha: int) -> float:
     """Mean success over all 2**(2**(n-1)) equally likely independent draws.
 
-    Exhaustive enumeration; limited to n <= 4 where the subset count stays at
-    or below 256.
+    Exhaustive enumeration, each draw scored by the one transform entry on
+    alpha; limited to n <= 4 where the subset count stays at or below 256.
     """
     if n < 2 or n > 4:
         raise ValueError("exhaustive enumeration supports 2 <= n <= 4")
@@ -223,6 +223,6 @@ def independent_exhaustive_mean(n: int, alpha: int) -> float:
     for bits in range(1 << len(candidates)):
         unflipped = [c for i, c in enumerate(candidates) if (bits >> i) & 1]
         realization = NoiseRealization(n, alpha, unflipped)
-        state = statevec.hadamard_all(noisy_oracle(base, realization))
-        total += statevec.probability_of(state, alpha)
+        state = noisy_oracle(base, realization)
+        total += statevec.hadamard_probability(state, alpha)
     return total / (1 << len(candidates))

@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "fwht_inplace",
+    "fwht_entry",
     "parity_flip_inplace",
     "ring_walk_wins",
     "push_letters_until",
@@ -36,6 +37,26 @@ def fwht_inplace(amps):
         view[:, 0, :] += view[:, 1, :]
         np.subtract(top, view[:, 1, :], out=view[:, 1, :])
         h *= 2
+
+
+def fwht_entry(amps, index):
+    """Entry index of the unnormalised Walsh-Hadamard transform of amps.
+
+    Bit-identical to fwht_inplace(amps)[index]: the stages run in the same
+    order (h = 1, 2, 4, ...), and each keeps only the half on the path to
+    index.  Stage s pairs neighbours of the kept values, which are the
+    entries whose low s bits equal index's; it keeps a + b where bit s of
+    index is 0 and a - b where it is 1, the same operation on the same
+    float64 operands as the full transform.  About 2 * amps.size element
+    reads in all; amps is read, never written.
+    """
+    values = amps
+    while values.size > 1:
+        pairs = values.reshape(-1, 2)
+        combine = np.subtract if index & 1 else np.add
+        values = combine(pairs[:, 0], pairs[:, 1])
+        index >>= 1
+    return values[0]
 
 
 def parity_flip_inplace(amps, mask):

@@ -19,6 +19,7 @@ __all__ = [
     "num_qubits",
     "uniform_state",
     "hadamard_all",
+    "hadamard_probability",
     "phase_oracle",
     "flip_sign_at",
     "diffusion",
@@ -59,6 +60,20 @@ def hadamard_all(state) -> np.ndarray:
     kernels.fwht_inplace(out)
     out *= 2.0 ** (-n / 2.0)
     return out
+
+
+def hadamard_probability(state, x: int) -> float:
+    """Probability of outcome x after a Hadamard on every qubit.
+
+    Equals probability_of(hadamard_all(state), x) bit for bit, but computes
+    only the one transform entry (kernels.fwht_entry): O(2**n) work, and
+    neither the input copy nor the full output is built.
+    """
+    arr = np.asarray(state, dtype=np.float64)
+    n = num_qubits(arr)
+    _check_index(n, x)
+    amplitude = kernels.fwht_entry(arr, x) * 2.0 ** (-n / 2.0)
+    return float(amplitude**2)
 
 
 def phase_oracle(state, alpha: int) -> np.ndarray:

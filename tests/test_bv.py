@@ -41,6 +41,49 @@ def test_flip_candidates_peak_memory_at_22_qubits():
     assert peak < 32 * 2**20
 
 
+def test_hadamard_probability_matches_full_transform_on_bv_states():
+    for n in range(2, 7):
+        base = statevec.uniform_state(n)
+        for alpha in range(1, 1 << n):
+            states = [statevec.flip_sign_at(base, bv.first_candidate(n, alpha))]
+            for mode in bv.NOISE_MODES:
+                rng = np.random.default_rng(n * alpha)
+                realization = bv.draw_realization(n, alpha, mode, rng)
+                states.append(bv.noisy_oracle(base, realization))
+            for state in states:
+                full = statevec.hadamard_all(state)
+                for x in range(1 << n):
+                    want = statevec.probability_of(full, x)
+                    assert statevec.hadamard_probability(state, x) == want
+
+
+def test_odd_n_successes_keep_their_rounding():
+    # 2**(-n/2) is inexact at odd n; reading one entry rounds exactly as the
+    # full transform did, one ulp off the exact 1/4 and 1/16
+    play = bv.run_game(3, 5, bv.FIXED_HALF, seed=1)
+    assert play.success_probability == 0.2500000000000001
+    assert bv.single_reflection_baseline(3, 5, 1) == 0.06250000000000003
+
+
+def test_hadamard_probability_peak_memory_at_22_qubits():
+    # the first two stages' 2**21 and 2**20 kept values (16 + 8 MiB); the
+    # full transform copies the 32 MiB state and adds a 16 MiB stage buffer
+    state = statevec.uniform_state(22)
+    peaks = {}
+    for name, read in (
+        ("entry", lambda: statevec.hadamard_probability(state, 1)),
+        ("full", lambda: statevec.probability_of(statevec.hadamard_all(state), 1)),
+    ):
+        tracemalloc.start()
+        try:
+            read()
+            _, peaks[name] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks["entry"] < 26 * 2**20
+    assert peaks["full"] >= 48 * 2**20
+
+
 def test_alpha_zero_rejected_everywhere():
     with pytest.raises(ValueError):
         bv.flip_candidates(3, 0)

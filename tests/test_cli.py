@@ -329,16 +329,31 @@ def test_grover_sweep_runs_each_round_once(capsys, monkeypatch):
 
 
 def test_bv_runs_two_hadamard_transforms(capsys, monkeypatch):
-    # one transform in the play and one in the baseline; both start from
-    # the uniform state instead of transforming |0...0>
+    # the play and the baseline each read one transform entry (both start
+    # from the uniform state instead of transforming |0...0>); only
+    # --samples builds a full transform, of trial 0's state
     calls = []
-    fwht = kernels.fwht_inplace
-    monkeypatch.setattr(
-        kernels, "fwht_inplace", lambda amps: calls.append(1) or fwht(amps)
-    )
-    code, _, _ = run_cli(capsys, "bv", "-n", "6", "--alpha", "5", "--trials", "1")
+
+    def counted(name):
+        kernel = getattr(kernels, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return wrapper
+
+    for name in ("fwht_inplace", "fwht_entry"):
+        monkeypatch.setattr(kernels, name, counted(name))
+    argv = ["bv", "-n", "6", "--alpha", "5", "--trials", "1"]
+    code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(calls) == 2
+    assert calls.count("fwht_inplace") == 0
+    assert calls.count("fwht_entry") == 2
+    calls.clear()
+    code, _, _ = run_cli(capsys, *argv, "--samples", "10")
+    assert code == 0
+    assert calls.count("fwht_inplace") == 1
 
 
 def test_ring_rejects_more_steps_than_the_limit(capsys):

@@ -32,6 +32,21 @@ def test_fwht_is_bit_identical_to_butterfly_loop(n, seed):
     assert np.array_equal(np.signbit(amps), np.signbit(want))
 
 
+@settings(deadline=None, max_examples=60)
+@example(n=0, seed=0)
+@example(n=10, seed=1)
+@given(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_fwht_entry_is_bit_identical_to_butterfly_loop(n, seed):
+    # magnitudes from 1e-300 to 1e300, so sums round, cancel and absorb
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-300, 301, size=1 << n)
+    keep = amps.copy()
+    want = oracles.fwht_butterfly_loop(amps)
+    got = np.array([kernels.fwht_entry(amps, x) for x in range(1 << n)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(amps.view(np.uint64), keep.view(np.uint64))
+
+
 @settings(deadline=None, max_examples=300)
 @example(n=1, mask=0, seed=0)
 @example(n=12, mask=(1 << 12) - 1, seed=1)

@@ -53,6 +53,25 @@ def test_hadamard_does_not_mutate_input():
     assert np.array_equal(v, keep)
 
 
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_hadamard_probability_is_bit_identical_to_full_transform(n, seed):
+    v = random_unit(n, seed)
+    keep = v.copy()
+    full = statevec.hadamard_all(v)
+    for x in range(1 << n):
+        assert statevec.hadamard_probability(v, x) == statevec.probability_of(full, x)
+    assert np.array_equal(v, keep)
+
+
+def test_hadamard_probability_rejects_bad_input():
+    for bad in (8, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            statevec.hadamard_probability(statevec.uniform_state(3), bad)
+    with pytest.raises(ValueError, match="power of two"):
+        statevec.hadamard_probability(np.ones(6), 0)
+
+
 def test_phase_oracle_identity_for_alpha_zero():
     v = random_unit(4, 1)
     assert np.array_equal(statevec.phase_oracle(v, 0), v)
