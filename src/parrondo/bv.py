@@ -48,11 +48,6 @@ __all__ = [
 ]
 
 
-def _dot(x: int, alpha: int) -> int:
-    """Bitwise inner product modulo 2."""
-    return (x & alpha).bit_count() & 1
-
-
 def _check_alpha(n: int, alpha: int) -> None:
     if not (0 <= alpha < (1 << n)):
         raise ValueError(f"alpha {alpha} out of range for {n} qubits")
@@ -60,22 +55,34 @@ def _check_alpha(n: int, alpha: int) -> None:
         raise ValueError("the hidden string alpha must be nonzero")
 
 
+def _eligible(alpha: int, ranks: np.ndarray) -> np.ndarray:
+    """Map ranks z in [0, 2**(n-1)) in place to the z-th y with y . alpha = 1.
+
+    With b the lowest set bit of alpha, y is z with a bit inserted at b (the
+    bits from b up move one place), set so that y . alpha = 1.  The map is
+    increasing, so sorted ranks give sorted indices.
+    """
+    low = alpha & -alpha
+    ranks += ranks & -low
+    even = (np.bitwise_count(ranks & alpha) & 1) == 0
+    np.bitwise_or(ranks, low, out=ranks, where=even)
+    return ranks
+
+
 def flip_candidates(n: int, alpha: int) -> np.ndarray:
     """All basis indices y with y . alpha = 1, ascending; 2**(n-1) of them.
 
-    The same parity pass as the phase oracle marks them, on int8 signs.
+    _eligible over every rank, on int32 (indices stay below 2**MAX_QUBITS).
     """
     _check_alpha(n, alpha)
-    signs = np.ones(1 << n, dtype=np.int8)
-    kernels.parity_flip_inplace(signs, alpha)
-    return np.flatnonzero(signs < 0)
+    return _eligible(alpha, np.arange(1 << (n - 1), dtype=np.int32)).astype(np.int64)
 
 
 def first_candidate(n: int, alpha: int) -> int:
     """The smallest y with y . alpha = 1: the lowest set bit of alpha.
 
-    Equals flip_candidates(n, alpha)[0] without the pass over 2**n indices:
-    every y below the lowest set bit shares no bit with alpha.
+    It is rank 0 of _eligible's map: flip_candidates(n, alpha)[0], read off
+    alpha without building the array.
     """
     _check_alpha(n, alpha)
     return alpha & -alpha
@@ -129,40 +136,37 @@ def draw_realization(
 
     fixed-half leaves exactly 2**(n-2) of the 2**(n-1) eligible indices
     unflipped; independent tosses a fair coin per eligible index; noiseless
-    flips them all.  The draw is stored as it comes, as an index array.
+    flips them all.  Ranks are drawn and mapped by _eligible, which builds no
+    2**n array and, as rng.choice(a) is a[rng.choice(len(a))], draws the same.
     """
     if mode == NOISELESS:
         return NoiseRealization(qubits=n, alpha=alpha, unflipped=())
-    candidates = flip_candidates(n, alpha)
+    _check_alpha(n, alpha)
+    half = 1 << (n - 1)
     if mode == FIXED_HALF:
         if n < 2:
             raise ValueError("fixed-half noise needs n >= 2")
-        unflipped = rng.choice(candidates, size=1 << (n - 2), replace=False)
+        ranks = rng.choice(half, size=half // 2, replace=False)
     elif mode == INDEPENDENT:
-        coins = rng.integers(0, 2, size=candidates.size).astype(bool)
-        unflipped = candidates[coins]
+        ranks = np.flatnonzero(rng.integers(0, 2, size=half).astype(bool))
     else:
         raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
-    return NoiseRealization(qubits=n, alpha=alpha, unflipped=unflipped)
+    return NoiseRealization(qubits=n, alpha=alpha, unflipped=_eligible(alpha, ranks))
 
 
-def noisy_oracle(state, realization: NoiseRealization) -> np.ndarray:
-    """Apply the unreliable phase oracle for one realization.
+def noisy_oracle(realization: NoiseRealization) -> np.ndarray:
+    """The unreliable phase oracle applied to the uniform state H|0...0>.
 
-    Amplitudes at x with x . alpha = 0 are untouched; eligible amplitudes are
-    negated unless their index sits in the unflipped set.  That is the
-    reliable phase oracle followed by one scatter that negates the unflipped
-    amplitudes back.  Norm is preserved exactly (every factor is +-1).
+    Builds that one state and negates in place: every eligible amplitude
+    (kernels.parity_flip_inplace), then the unflipped ones back with one
+    scatter.  Amplitudes at x with x . alpha = 0 are untouched, and the norm
+    is preserved exactly (every factor is +-1).
     """
-    n = statevec.num_qubits(state)
-    if n != realization.qubits:
-        raise ValueError(
-            f"realization is for {realization.qubits} qubits, state has {n}"
-        )
-    out = statevec.phase_oracle(state, realization.alpha)
+    state = statevec.uniform_state(realization.qubits)
+    kernels.parity_flip_inplace(state, realization.alpha)
     keep = realization.unflipped
-    out[keep] = -out[keep]
-    return out
+    state[keep] = -state[keep]
+    return state
 
 
 def run_game(n: int, alpha: int, mode: str, seed: int) -> BvResult:
@@ -178,7 +182,7 @@ def run_game(n: int, alpha: int, mode: str, seed: int) -> BvResult:
     _check_alpha(n, alpha)
     rng = np.random.default_rng(seed)
     realization = draw_realization(n, alpha, mode, rng)
-    state = noisy_oracle(statevec.uniform_state(n), realization)
+    state = noisy_oracle(realization)
     return BvResult(statevec.hadamard_probability(state, alpha), realization)
 
 
@@ -198,13 +202,14 @@ def single_reflection_baseline(n: int, alpha: int, y: int) -> float:
     """Success when the player reflects about a single |y> instead of the oracle.
 
     Evaluates |<alpha| H (flip y) H |0...0>|**2 through the state-vector
-    pipeline, starting from the uniform state H|0...0> and reading the one
-    transform entry on alpha; the value is 4/4**n for every eligible y.
+    pipeline: the uniform state H|0...0> with entry y negated in place, then
+    the one transform entry on alpha; the value is 4/4**n for every eligible y.
     """
     _check_alpha(n, alpha)
-    if _dot(y, alpha) != 1:
-        raise ValueError(f"reflection index y={y} must satisfy y . alpha = 1")
-    state = statevec.flip_sign_at(statevec.uniform_state(n), y)
+    if not (0 <= y < 1 << n) or (y & alpha).bit_count() % 2 == 0:
+        raise ValueError(f"reflection index y={y} must be a basis index, y . alpha = 1")
+    state = statevec.uniform_state(n)
+    state[y] = -state[y]
     return statevec.hadamard_probability(state, alpha)
 
 
@@ -218,11 +223,10 @@ def independent_exhaustive_mean(n: int, alpha: int) -> float:
         raise ValueError("exhaustive enumeration supports 2 <= n <= 4")
     _check_alpha(n, alpha)
     candidates = [int(y) for y in flip_candidates(n, alpha)]
-    base = statevec.uniform_state(n)
     total = 0.0
     for bits in range(1 << len(candidates)):
         unflipped = [c for i, c in enumerate(candidates) if (bits >> i) & 1]
         realization = NoiseRealization(n, alpha, unflipped)
-        state = noisy_oracle(base, realization)
+        state = noisy_oracle(realization)
         total += statevec.hadamard_probability(state, alpha)
     return total / (1 << len(candidates))

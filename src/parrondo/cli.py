@@ -69,7 +69,11 @@ def _show(f: Fraction) -> str:
 def _parse_moduli(value) -> list[int]:
     if isinstance(value, list):
         return value
-    return [int(tok) for tok in value.replace(" ", "").split(",") if tok]
+    tokens = [tok.strip() for tok in value.split(",")]
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"moduli must be comma-separated digits, got token {tok!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -284,7 +288,7 @@ def cmd_bv(args) -> Output:
         )
 
     if samples > 0:
-        state = bv.noisy_oracle(statevec.uniform_state(n), first)
+        state = bv.noisy_oracle(first)
         state = statevec.hadamard_all(state)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trials,)))
         outcomes = statevec.sample_basis(state, samples, rng)

@@ -1,9 +1,9 @@
 """Real-amplitude state vectors and the operators the quantum games use.
 
-Every operator here (Hadamard layer, phase oracles, single-index sign flips,
-diffusion) is real orthogonal, so amplitudes are plain float64 arrays of
-length 2**n.  Functions are pure at the interface: inputs are copied, outputs
-are fresh arrays.
+Every operator here (Hadamard layer, single-index sign flips, diffusion) is
+real orthogonal, so amplitudes are plain float64 arrays of length 2**n.
+Functions are pure at the interface: inputs are copied, outputs are fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "uniform_state",
     "hadamard_all",
     "hadamard_probability",
-    "phase_oracle",
     "flip_sign_at",
     "diffusion",
     "probability_of",
@@ -74,15 +73,6 @@ def hadamard_probability(state, x: int) -> float:
     _check_index(n, x)
     amplitude = kernels.fwht_entry(arr, x) * 2.0 ** (-n / 2.0)
     return float(amplitude**2)
-
-
-def phase_oracle(state, alpha: int) -> np.ndarray:
-    """Multiply the amplitude at |x> by (-1)**(x . alpha), the bitwise dot mod 2."""
-    out = np.array(state, dtype=np.float64, copy=True)
-    n = num_qubits(out)
-    _check_index(n, alpha)
-    kernels.parity_flip_inplace(out, alpha)
-    return out
 
 
 def flip_sign_at(state, y: int) -> np.ndarray:

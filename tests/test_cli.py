@@ -54,6 +54,27 @@ def test_ring_requires_moduli(capsys):
     assert "moduli" in err
 
 
+@pytest.mark.parametrize(
+    "moduli, token",
+    [("3,,7", "''"), ("3,7,", "''"), ("+3,7", "'+3'"), ("3_0,7", "'3_0'"),
+     ("3 7", "'3 7'"), ("٣,7", "'٣'")],
+)
+def test_ring_rejects_malformed_moduli_tokens(tmp_path, capsys, moduli, token):
+    config = tmp_path / "ring.json"
+    config.write_text(json.dumps({"moduli": moduli}))
+    for argv in (["--moduli", moduli], ["--config", str(config)]):
+        code, out, err = run_cli(capsys, "ring", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"token {token}" in err
+
+
+def test_ring_moduli_may_have_spaces_around_commas(capsys):
+    code, out, _ = run_cli(capsys, "ring", "--moduli", " 3, 7")
+    assert code == 0
+    assert "11/21" in out
+
+
 def test_ring_rejects_more_positions_than_the_limit(capsys):
     code, out, err = run_cli(capsys, "ring", "--moduli", "3,5,7,11,13,17,19")
     assert code == 2
@@ -187,7 +208,7 @@ def test_bv_trials_and_samples_use_the_seed_children_in_order(capsys):
     assert [row["success"] for row in report["results"]] == [
         play.success_probability for play in plays
     ]
-    state = bv.noisy_oracle(statevec.uniform_state(5), plays[0].realization)
+    state = bv.noisy_oracle(plays[0].realization)
     state = statevec.hadamard_all(state)
     shots = statevec.sample_basis(state, 50, np.random.default_rng(children[3]))
     assert report["sampled_measurements"]["alpha_hits"] == np.count_nonzero(shots == 3)
@@ -531,6 +552,9 @@ DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
         "grover -n 3 --strategy best --format json --seed 1",
         "grover -n 4 --sweep --format csv --seed 1",
         "bv -n 22 --format json --seed 1",
+        "bv -n 22 --format json --seed 5",
+        "bv -n 6 --alpha 5 --mode fixed-half --format json --seed 3",
+        "bv -n 3 --mode independent --exhaustive --format json --seed 2",
         "grover -n 13 --format json --seed 1",
     ],
 )
