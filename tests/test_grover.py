@@ -170,12 +170,19 @@ def test_stopping_index_matches_fixed_block_reference():
                 assert grover._stopping_index(rng, target, cap) == want
 
 
-def test_uint8_draws_in_pieces_of_four_match_one_draw():
-    # _stopping_index relies on this: uint8 draws take whole 32-bit words
-    whole = np.random.default_rng(7).integers(0, 2, size=1000, dtype=np.uint8)
-    rng = np.random.default_rng(7)
-    pieces = [rng.integers(0, 2, size=size, dtype=np.uint8) for size in (64, 4, 132, 800)]
-    assert np.array_equal(np.concatenate(pieces), whole)
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(1, 2**11).map(lambda words: 8 * words), max_size=6),
+    st.integers(0, 2**14),
+)
+def test_raw_byte_letters_match_one_uint8_draw(seed, blocks, cut):
+    # _stopping_index relies on numpy's uint8 draw on [0, 2) being bit 7 of
+    # each raw byte: blocks of 8 to 2**14 letters, then one a cap cut short
+    rng = np.random.default_rng(seed)
+    letters = [grover._letters(rng.bit_generator.random_raw, size) for size in (*blocks, cut)]
+    whole = np.random.default_rng(seed).integers(0, 2, size=sum(blocks) + cut, dtype=np.uint8)
+    assert np.array_equal(np.concatenate(letters), whole)
 
 
 def test_expected_stopping_index_closed_form():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrondo import ring
@@ -272,7 +272,12 @@ def _block_edges(block):
     return (block - 1, block, block + 1, 3 * block + 7)
 
 
-@pytest.mark.parametrize("moduli", [(3,), (3, 7), (3, 5, 7), (3, 5, 7, 11, 13), (5, 9, 7)])
+# (3,) draws its choices with bound 1, which takes no word, and (3, 5, 7, 11)
+# with bound 4, a power of two, which never redraws
+@pytest.mark.parametrize(
+    "moduli",
+    [(3,), (3, 7), (3, 5, 7), (3, 5, 7, 11, 13), (5, 9, 7), (3, 5, 7, 11), (3, 5, 7, 11, 13, 17)],
+)
 def test_streamed_walk_matches_one_shot_walk(moduli):
     # the streamed walk plays the very trajectory of one long draw
     game = ring.CombinedRingGame.from_moduli(moduli)
@@ -295,6 +300,48 @@ def test_streamed_walk_does_not_depend_on_the_block_size(monkeypatch, block):
                 assert report.winning_count == oracles.simulate_ring_one_shot(
                     moduli, steps, seed
                 ), (moduli, steps, seed)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.just(1),
+                st.integers(2, 40),
+                # (2**32 - b) % b = 2**32 - b here: up to half the words are redrawn
+                st.integers(2**31, 2**32),
+                st.lists(st.integers(2, 2**32), min_size=1, max_size=4),
+            ),
+            st.integers(0, 33),
+        ),
+        max_size=8,
+    ),
+)
+@example(0, [(1, 5), (7, 3)])
+@example(1, [(5, 3), (5, 1), (2**31 + 1, 33)])
+@example(2, [([2**31 + 1, 3], 31), (1, 2), ([3, 7], 9)])
+def test_words_draw_what_integers_draws(seed, calls):
+    # simulate_ring relies on _Words giving numpy's bounded int64 draws: low
+    # uint32 half first, the spare half kept across calls, Lemire's redraw,
+    # and no word taken for a bound of 1
+    rng = np.random.default_rng(seed)
+    words = ring._Words(seed)
+    pick = np.random.default_rng(seed + 1)
+    for bound, size in calls:
+        if isinstance(bound, list):
+            bounds = np.array(bound, dtype=np.int64)
+            index = pick.integers(0, bounds.size, size=size)
+            want = rng.integers(0, bounds[index])
+            got = words.bounded(bounds.astype(np.uint64), size, index)
+        else:
+            want = rng.integers(0, bound, size=size)
+            got = words.bounded(bound, size)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (bound, size)
+    # both streams stand at the same word, spare half included
+    assert np.array_equal(words.bounded(2**32, 3), rng.integers(0, 2**32, size=3))
 
 
 def test_simulate_ring_memory_does_not_grow_with_steps():
