@@ -35,6 +35,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_integer_text(text: str) -> bool:
+    """The CLI's one integer grammar: ASCII digits after an optional '-'.
+
+    int() alone would also read '1_0' as 10, '+3' as 3 and the Arabic-Indic
+    digit three as 3.
+    """
+    digits = text.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
+def _integer(text: str) -> int:
+    """argparse type of every integer flag: int(text) under _is_integer_text."""
+    if not _is_integer_text(text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _json_type(action: argparse.Action):
     """(description, test) of the JSON value a config key takes: its flag's type."""
     if action.dest == "moduli":
@@ -44,7 +61,7 @@ def _json_type(action: argparse.Action):
         )
     if action.nargs == 0:
         return "a boolean", lambda value: isinstance(value, bool)
-    if action.type is int:
+    if action.type is _integer:
         return "an integer", _is_int
     return "a string", lambda value: isinstance(value, str)
 
@@ -311,10 +328,11 @@ def _resolve_strategy(text: str, n: int) -> tuple[str, int]:
         return "canonical", grover.canonical_k(n)
     if text == "best":
         return "best", grover.best_k(n)
-    if text.startswith("k="):
+    if text.startswith("k=") and _is_integer_text(text[2:]):
         k = int(text[2:])
         if k < 1:
             raise ValueError(f"explicit k must be >= 1, got {k}")
+        _check_limit("explicit k", k, grover.MAX_ROUNDS, "rounds")
         return f"k={k}", k
     raise ValueError(
         f"strategy must be 'canonical', 'best' or 'k=<int>', got {text!r}"
@@ -330,9 +348,12 @@ def cmd_grover(args) -> Output:
     if letter_cap < 1:
         raise ValueError(f"letter cap must be >= 1, got {letter_cap}")
     strategy_name, k = _resolve_strategy(args.strategy, n)
+    sweep_top = grover.canonical_k(n) + 2
+    # one pass of rounds gives this k's success and every sweep row
+    successes = grover.sweep_success(n, alpha, max(k, sweep_top) if args.sweep else k)
 
     closed = grover.success_after_k(n, k)
-    simulated = statevec.probability_of(grover.realize_word(2 * k, n, alpha), alpha)
+    simulated = successes[k]
     verdict = "WIN" if closed > 0.5 else "LOSE"
     note = ""
     if verdict == "LOSE" and strategy_name == "canonical":
@@ -382,8 +403,7 @@ def cmd_grover(args) -> Output:
     csv_rows = None
     if args.sweep:
         sweep = []
-        simulated_sweep = grover.sweep_success(n, alpha, grover.canonical_k(n) + 2)
-        for kk, sim_kk in enumerate(simulated_sweep):
+        for kk, sim_kk in enumerate(successes[: sweep_top + 1]):
             closed_kk = grover.success_after_k(n, kk)
             if kk == 0:
                 mean_wait = 0.0
@@ -494,7 +514,7 @@ def _emit(out: Output) -> None:
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=1, help="master random seed")
+    parser.add_argument("--seed", type=_integer, default=1, help="master random seed")
 
 
 def _add_common(parser: argparse.ArgumentParser, handler) -> None:
@@ -522,17 +542,17 @@ def build_parser() -> argparse.ArgumentParser:
         "ring", help="classical wheel games: exact rates plus optional Monte Carlo"
     )
     ring_p.add_argument("--moduli", help="comma-separated odd coprime moduli, e.g. 3,7")
-    ring_p.add_argument("--steps", type=int, help="Monte Carlo steps (omit to skip)")
+    ring_p.add_argument("--steps", type=_integer, help="Monte Carlo steps (omit to skip)")
     _add_seed(ring_p)
     _add_common(ring_p, cmd_ring)
 
     bv_p = sub.add_parser(
         "bv", help="guessing game against the unreliable phase oracle"
     )
-    bv_p.add_argument("-n", "--qubits", dest="n", type=int)
-    bv_p.add_argument("--alpha", type=int, default=1, help="hidden nonzero string")
+    bv_p.add_argument("-n", "--qubits", dest="n", type=_integer)
+    bv_p.add_argument("--alpha", type=_integer, default=1, help="hidden nonzero string")
     bv_p.add_argument("--mode", choices=bv.NOISE_MODES, default=bv.FIXED_HALF)
-    bv_p.add_argument("--trials", type=int, default=1)
+    bv_p.add_argument("--trials", type=_integer, default=1)
     bv_p.add_argument(
         "--exhaustive",
         action="store_true",
@@ -540,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bv_p.add_argument(
         "--samples",
-        type=int,
+        type=_integer,
         default=0,
         help="also draw this many demonstration measurements from the trial-0 state",
     )
@@ -550,14 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
     grover_p = sub.add_parser(
         "grover", help="stopping game over random reflection sequences"
     )
-    grover_p.add_argument("-n", "--qubits", dest="n", type=int)
-    grover_p.add_argument("--alpha", type=int, default=0, help="target index")
+    grover_p.add_argument("-n", "--qubits", dest="n", type=_integer)
+    grover_p.add_argument("--alpha", type=_integer, default=0, help="target index")
     grover_p.add_argument(
         "--strategy",
         default="canonical",
         help="'canonical' (ceiling rule), 'best' (scanned optimum) or 'k=<int>'",
     )
-    grover_p.add_argument("--trials", type=int, default=1000)
+    grover_p.add_argument("--trials", type=_integer, default=1000)
     grover_p.add_argument(
         "--sweep",
         action="store_true",
@@ -566,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     grover_p.add_argument(
         "--letter-cap",
         dest="letter_cap",
-        type=int,
+        type=_integer,
         default=grover.DEFAULT_LETTER_CAP,
         help="abort a play after this many letters (default %(default)s)",
     )

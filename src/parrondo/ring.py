@@ -22,10 +22,8 @@ from . import kernels
 __all__ = [
     "MAX_POSITIONS",
     "MAX_STEPS",
-    "NonUniqueStationaryError",
     "RotationGame",
     "CombinedRingGame",
-    "TransitionMatrix",
     "RateReport",
     "winning_count",
     "single_game_rate",
@@ -52,10 +50,6 @@ MAX_STEPS = 3 * 10**7
 # Steps simulate_ring draws and walks at once; its arrays peak near 3 MB
 # under tracemalloc at any step count.
 _WALK_BLOCK = 2**16
-
-
-class NonUniqueStationaryError(ValueError):
-    """The chain admits more than one stationary distribution."""
 
 
 def _check_modulus(m: int) -> None:
@@ -105,28 +99,17 @@ class CombinedRingGame:
         return math.prod(self.moduli)
 
 
+@dataclass(frozen=True)
 class TransitionMatrix:
-    """Circulant transition matrix on Z_size, fixed by one exact offset law.
+    """Circulant transition matrix on Z_size, as transition_matrix builds it.
 
     Every position i moves to i + offset (mod size) with probability
-    offsets[offset], so entry (i, j) depends only on (j - i) mod size.
+    offsets[offset], so entry (i, j) depends only on (j - i) mod size.  The
+    offsets lie in 0..size-1 and their probabilities sum to exactly 1.
     """
 
-    def __init__(self, size: int, offsets: dict[int, Fraction]):
-        law: dict[int, Fraction] = {}
-        for offset, p in offsets.items():
-            p = Fraction(p)
-            if not (0 <= offset < size):
-                raise ValueError(f"offset {offset} outside 0..{size - 1}")
-            if p < 0:
-                raise ValueError(f"negative probability {p} at offset {offset}")
-            if p:
-                law[offset] = p
-        total = sum(law.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"offset law sums to {total}, expected exactly 1")
-        self.size = size
-        self.offsets = law
+    size: int
+    offsets: dict[int, Fraction]
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.offsets.get((j - i) % self.size, Fraction(0))
@@ -184,18 +167,10 @@ def stationary_distribution(matrix: TransitionMatrix) -> Fraction:
     """The one weight 1/M of the chain's unique stationary law, which is uniform.
 
     A circulant is a random walk on the group Z_M, so the uniform law is
-    always stationary; it is the only one exactly when the support offsets
-    generate Z_M, i.e. gcd(M, offsets) = 1.  Otherwise raises
-    NonUniqueStationaryError.
+    stationary; for a combined game's chain it is the only one, because the
+    offsets generate Z_M (see combined_rate).
     """
-    M = matrix.size
-    g = math.gcd(M, *matrix.offsets)
-    if g != 1:
-        raise NonUniqueStationaryError(
-            f"support offsets generate only the multiples of {g} in Z_{M}; "
-            "the stationary distribution is not unique"
-        )
-    return Fraction(1, M)
+    return Fraction(1, matrix.size)
 
 
 def single_game_rate(game: RotationGame) -> RateReport:

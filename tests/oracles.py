@@ -159,23 +159,6 @@ def _solve_fraction(matrix, rhs):
     return [row[size] for row in aug]
 
 
-def fraction_rank(matrix):
-    """Rank of a matrix of Fractions by plain row reduction."""
-    rows = [list(row) for row in matrix]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = Fraction(rows[r][col]) / rows[rank][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def exact_stationary(rows):
     """Stationary law of the dense stochastic matrix `rows`: pi P = pi, sum(pi) = 1.
 

@@ -274,6 +274,19 @@ def test_grover_rejects_bad_strategy(capsys):
     assert "strategy" in err
 
 
+@pytest.mark.parametrize("strategy", ["k=1_0", "k=\u0663"])
+def test_grover_strategy_takes_only_ascii_digits(tmp_path, capsys, strategy):
+    # int() would read k=1_0 as k=10 and the Arabic-Indic three as k=3
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"strategy": strategy}))
+    argv = ["grover", "-n", "4", "--trials", "5"]
+    for extra in (["--strategy", strategy], ["--config", str(path)]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert "strategy must be" in err
+
+
 def test_grover_rejects_bad_n(capsys):
     code, _, err = run_cli(capsys, "grover", "-n", "1", "--trials", "5")
     assert code == 2
@@ -332,21 +345,39 @@ def test_grover_rejects_non_positive_letter_cap(capsys, cap):
 
 
 def test_grover_sweep_runs_each_round_once(capsys, monkeypatch):
-    # one state carried through the sweep: k rounds for the strategy's own
-    # row plus canonical_k + 2 for the sweep, not one rebuild per k
+    # one state is carried through max(k, canonical_k + 2) rounds, and both
+    # the strategy's own success and the sweep rows are read from that pass
     calls = []
     diffusion = statevec.diffusion
     monkeypatch.setattr(
         statevec, "diffusion", lambda state: calls.append(1) or diffusion(state)
     )
-    code, out, _ = run_cli(
-        capsys, "grover", "-n", "8", "--sweep", "--trials", "2", "--format", "json"
-    )
-    assert code == 0
-    report = json.loads(out)
+    top = grover.canonical_k(8) + 2
+
+    def rounds(*flags):
+        calls.clear()
+        code, out, _ = run_cli(
+            capsys, "grover", "-n", "8", "--trials", "2", "--format", "json", *flags
+        )
+        assert code == 0
+        return json.loads(out), len(calls)
+
+    report, count = rounds("--sweep")
     k = report["k"]
-    assert len(report["sweep"]) == grover.canonical_k(8) + 3
-    assert len(calls) == k + grover.canonical_k(8) + 2
+    assert len(report["sweep"]) == top + 1
+    assert count == top
+    assert report["statevec_success"] == report["sweep"][k]["simulated_success"]
+
+    report, count = rounds("--strategy", f"k={top + 3}", "--sweep")
+    k = report["k"]
+    assert len(report["sweep"]) == top + 1
+    assert count == k == top + 3
+    word = grover.realize_word(2 * k, 8, 0)
+    assert report["statevec_success"] == statevec.probability_of(word, 0)
+
+    report, count = rounds()
+    assert "sweep" not in report
+    assert count == report["k"] == grover.canonical_k(8)
 
 
 def test_bv_runs_two_hadamard_transforms(capsys, monkeypatch):
@@ -391,6 +422,15 @@ def test_grover_rejects_more_trials_than_the_limit(capsys):
     assert code == 2
     assert out == ""
     assert f"limit of {grover.MAX_TRIALS} plays" in err
+
+
+def test_grover_rejects_more_rounds_than_the_limit(capsys):
+    # the statevec pass keeps one success per round, so k bounds its memory
+    k = grover.MAX_ROUNDS + 1
+    code, out, err = run_cli(capsys, "grover", "-n", "2", "--strategy", f"k={k}")
+    assert code == 2
+    assert out == ""
+    assert f"limit of {grover.MAX_ROUNDS} rounds" in err
 
 
 def test_grover_sweep_csv_columns(capsys):
@@ -498,6 +538,32 @@ def _subparser(command):
     return sub.choices[command]
 
 
+INTEGER_FLAGS = [
+    (command, action.option_strings[-1])
+    for command in ("ring", "bv", "grover", "reproduce")
+    for action in _subparser(command)._actions
+    if action.dest not in ("help", "config")
+    and cli._json_type(action)[0] == "an integer"
+]
+
+
+def test_every_count_seed_and_index_is_an_integer_flag():
+    assert len(INTEGER_FLAGS) == 12
+
+
+@pytest.mark.parametrize("value", ["1_0", "+3", "\u0663", "3.0"])
+@pytest.mark.parametrize(
+    "command, flag", INTEGER_FLAGS, ids=[f"{c}{f}" for c, f in INTEGER_FLAGS]
+)
+def test_malformed_integers_exit_2_before_any_work(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_round_trips_cover_every_flag():
     for command in ("ring", "bv", "grover", "reproduce"):
         dests = {a.dest for a in _subparser(command)._actions} - {"help", "config"}
@@ -563,6 +629,24 @@ def test_stdout_matches_the_recorded_digest(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == recorded
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_commands_parse():
+    # parse only: the JSON forms of these commands run against their digests
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        line.split("#", 1)[0].split()
+        for line in block.splitlines()
+        if line.startswith("parrondo ")
+    ]
+    assert len(commands) == 8
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
 
 
 def test_missing_config_file_is_a_config_error(capsys):
