@@ -198,9 +198,7 @@ def cmd_ring(args) -> Output:
     if args.steps is not None:
         steps = args.steps
         empirical = ring.simulate_ring(game, steps, args.seed)
-        p = float(combined.win_probability)
-        se = math.sqrt(p * (1 - p) / steps)
-        z = (float(empirical.win_probability) - p) / se
+        se, z = ring.win_frequency_z(game, empirical.win_probability, steps)
         report["monte_carlo"] = {
             "steps": steps,
             "win_frequency": _frac(empirical.win_probability),
@@ -613,6 +611,9 @@ def main(argv=None) -> int:
             config = _config_defaults(args.config, args.subparser)
             args.subparser.set_defaults(**config)
             args = parser.parse_args(argv)
+        # numpy takes no negative seed; reject one even where nothing is drawn
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         out = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

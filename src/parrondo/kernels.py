@@ -73,14 +73,17 @@ def parity_flip_inplace(amps, mask):
             np.negative(rows, out=rows)
 
 
-def ring_walk_wins(increments, modulus, win_table, start):
-    """Winning rounds of the wheel walk from position start, and its end position."""
+def ring_walk_wins(increments, modulus, width, start):
+    """Winning steps of the wheel walk from position start, and its end position.
+
+    A step wins when its position mod modulus is below width: no table is read.
+    """
     if increments.size == 0:
         return 0, start
     positions = np.cumsum(increments)
     positions += start
     positions %= modulus
-    return int(np.count_nonzero(win_table[positions])), int(positions[-1])
+    return int(np.count_nonzero(positions < width)), int(positions[-1])
 
 
 # (first + t) & 1 for t < size is _PARITY[first & 1:][:size]; grown on demand

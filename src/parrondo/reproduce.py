@@ -132,13 +132,11 @@ def _sweep_row():
 
 def _monte_carlo_row():
     game = ring.CombinedRingGame.from_moduli((3, 7))
-    p = 11 / 21
-    se = math.sqrt(p * (1 - p) / MC_STEPS)
-    zs = []
+    worst = 0.0
     for seed in MC_SEEDS:
-        freq = float(ring.simulate_ring(game, MC_STEPS, seed).win_probability)
-        zs.append((freq - p) / se)
-    worst = max(abs(z) for z in zs)
+        frequency = ring.simulate_ring(game, MC_STEPS, seed).win_probability
+        _, z = ring.win_frequency_z(game, frequency, MC_STEPS)
+        worst = max(worst, abs(z))
     yield _row(
         "ring-monte-carlo",
         f"simulated (3,7) win frequency, {MC_STEPS} steps x {len(MC_SEEDS)} seeds",

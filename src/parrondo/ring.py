@@ -31,14 +31,15 @@ __all__ = [
     "stationary_distribution",
     "combined_rate",
     "simulate_ring",
+    "win_frequency_z",
 ]
 
 
 # Largest ring (product of the moduli) the CLI accepts.  The exact side costs
-# O(sum of the moduli), and building simulate_ring's win table takes under
-# 20 bytes per position, but the JSON report still lists all M stationary
-# weights: about 0.8 KB of peak RSS per position (239 MB and 2.7 s at
-# M = 255,255 on a 2-core Xeon), so the next wheel, 19, would need about 4 GB.
+# O(sum of the moduli) and simulate_ring holds nothing M-sized, so only the
+# JSON report's M stationary weights bound the ring: about 0.8 KB of peak RSS
+# per position (239 MB and 2.7 s at M = 255,255 on a 2-core Xeon), so the
+# next wheel, 19, would need about 4 GB.
 MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
@@ -265,6 +266,10 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     throws them away, which leaves it at the first rotation; a second one
     replays the choices from the seed.  The draws in blocks are those of one
     long draw, so the block size does not change the result.
+
+    The walk runs in coordinates rotated by q = M // 4, starting at q: the
+    winning arc [-q, q] of Z_M becomes [0, 2q], so the kernel counts the
+    steps below winning_count(M) = 2q + 1 and no M-sized table is built.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -276,14 +281,22 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     for size in blocks:
         rotations.bounded(moduli.size, size)
     choices = _Words(seed)
-    j = np.arange(M)
-    win_table = (4 * j < M) | (4 * j > 3 * M)
-    wins = position = 0
+    width = winning_count(M)
+    wins, position = 0, M // 4
     for size in blocks:
         game = choices.bounded(moduli.size, size)
         increments = rotations.bounded(moduli, size, game)
         increments *= strides[game]
-        block_wins, position = kernels.ring_walk_wins(increments, M, win_table, position)
+        block_wins, position = kernels.ring_walk_wins(increments, M, width, position)
         wins += block_wins
     p = Fraction(wins, steps)
     return RateReport(win_probability=p, winning_count=wins)
+
+
+def win_frequency_z(
+    combined: CombinedRingGame, frequency: Fraction, steps: int
+) -> tuple[float, float]:
+    """Standard error and z-score of a win frequency under the binomial model p(1-p)/steps."""
+    p = float(combined_rate(combined).win_probability)
+    standard_error = math.sqrt(p * (1 - p) / steps)
+    return standard_error, (float(frequency) - p) / standard_error

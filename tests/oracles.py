@@ -98,16 +98,16 @@ def winning_positions(modulus):
     )
 
 
-def ring_walk_wins_loop(increments, modulus, win_table, start):
+def ring_walk_wins_loop(increments, modulus, start):
     """Wheel walk from position start, one Python step per rotation.
 
-    Same contract as kernels.ring_walk_wins: returns (winning rounds, end
-    position).
+    Returns (winning rounds, end position); a round wins when its position j
+    passes the integer test 4j < M or 4j > 3M of cos(2 pi j / M) > 0.
     """
     wins, position = 0, start
     for increment in increments:
         position = (position + int(increment)) % modulus
-        wins += int(win_table[position])
+        wins += 4 * position < modulus or 4 * position > 3 * modulus
     return wins, position
 
 

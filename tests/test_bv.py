@@ -179,6 +179,12 @@ def test_run_game_fixed_half_is_exactly_one_quarter():
         result = bv.run_game(4, 5, bv.FIXED_HALF, seed)
         assert len(result.realization.unflipped) == 4
         assert abs(result.success_probability - 0.25) < ATOL
+    # half of the 2^(n-1) eligible indices stay unflipped, at every size
+    for n in range(2, 11):
+        for alpha in (1, 2, (1 << n) - 1):
+            result = bv.run_game(n, alpha, bv.FIXED_HALF, seed=1000 + 17 * n + alpha)
+            assert len(result.realization.unflipped) == 1 << (n - 2)
+            assert abs(result.success_probability - 0.25) < ATOL
 
 
 def test_run_game_matches_closed_form_and_dense_oracle():

@@ -380,7 +380,7 @@ def test_grover_sweep_runs_each_round_once(capsys, monkeypatch):
     assert count == report["k"] == grover.canonical_k(8)
 
 
-def test_bv_runs_two_hadamard_transforms(capsys, monkeypatch):
+def test_bv_reads_two_transform_entries(capsys, monkeypatch):
     # the play and the baseline each read one transform entry (both start
     # from the uniform state instead of transforming |0...0>); only
     # --samples builds a full transform, of trial 0's state
@@ -406,6 +406,44 @@ def test_bv_runs_two_hadamard_transforms(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, *argv, "--samples", "10")
     assert code == 0
     assert calls.count("fwht_inplace") == 1
+
+
+def test_ring_and_reproduce_share_one_z_score(capsys, monkeypatch):
+    calls = []
+    score = ring.win_frequency_z
+    monkeypatch.setattr(ring, "win_frequency_z", lambda *a: calls.append(a) or score(*a))
+    code, out, _ = run_cli(
+        capsys, "ring", "--moduli", "3,7", "--steps", "1000", "--format", "json"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["monte_carlo"]["z_score"] == score(*calls[0])[1]
+    calls.clear()
+    monkeypatch.setattr(reproduce, "MC_STEPS", 1000)
+    reproduce.run_all()
+    assert len(calls) == len(reproduce.MC_SEEDS)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv", [["ring", "--moduli", "3,7"], ["bv", "-n", "3"], ["grover", "-n", "3"]],
+    ids=["ring", "bv", "grover"],
+)
+def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, source):
+    calls = []
+    diffusion = statevec.diffusion
+    monkeypatch.setattr(
+        statevec, "diffusion", lambda state: calls.append(1) or diffusion(state)
+    )
+    if source == "flag":
+        argv = [*argv, "--seed", "-1"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": -1}))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert "seed must be >= 0, got -1" in err
 
 
 def test_ring_rejects_more_steps_than_the_limit(capsys):

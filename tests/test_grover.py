@@ -15,7 +15,7 @@ import oracles
 ATOL = 1e-12
 
 
-def test_reduce_push_transition_table():
+def test_push_letters_one_letter_transition_table():
     # one letter from levels 0-3 (1 is A, 0 is B); -1 is a target no
     # reduced length reaches, so the kernel takes the letter and stops
     table = {
@@ -35,7 +35,7 @@ def test_reduce_push_transition_table():
 
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.sampled_from(["A", "B"]), max_size=120))
-def test_reduce_push_matches_symbolic_reducer(letters):
+def test_push_letters_matches_symbolic_reducer(letters):
     # the kernel's final reduced length, with a target (-1) it never reaches
     bits = np.array([letter == "A" for letter in letters], dtype=np.uint8)
     _, length, _ = kernels.push_letters_until(bits, 0, -1)

@@ -85,22 +85,25 @@ def test_parity_flip_matches_popcount_reference_for_every_small_mask():
     start=st.integers(0, 100),
 )
 def test_ring_walk_matches_loop_reference(increments, modulus, start):
+    # the kernel walks in coordinates rotated by q, where the winning arc
+    # [-q, q] is [0, 2q]; the oracle tests the cosine arc itself
     start %= modulus
-    win_table = np.array(
-        [4 * j < modulus or 4 * j > 3 * modulus for j in range(modulus)], dtype=np.uint8
-    )
+    q = modulus // 4
     increments = np.array(increments, dtype=np.int64) % modulus
-    assert kernels.ring_walk_wins(increments, modulus, win_table, start) == (
-        oracles.ring_walk_wins_loop(increments, modulus, win_table, start)
+    wins, end = oracles.ring_walk_wins_loop(increments, modulus, start)
+    assert kernels.ring_walk_wins(increments, modulus, 2 * q + 1, (start + q) % modulus) == (
+        wins,
+        (end + q) % modulus,
     )
 
 
 def test_ring_walk_hand_values():
-    win_table = np.array([1, 0, 0], dtype=np.uint8)  # M = 3: only 0 wins
     empty = np.zeros(0, dtype=np.int64)
-    assert kernels.ring_walk_wins(empty, 3, win_table, 2) == (0, 2)
-    # 1 -> 2 -> 0 -> 0 -> 1: the wrap past 2 lands on the winning 0 twice
-    assert kernels.ring_walk_wins(np.array([1, 1, 0, 1]), 3, win_table, 1) == (2, 1)
+    assert kernels.ring_walk_wins(empty, 3, 1, 2) == (0, 2)
+    # M = 3 and width 1, so only 0 wins: 1 -> 2 -> 0 -> 0 -> 1 lands on it twice
+    assert kernels.ring_walk_wins(np.array([1, 1, 0, 1]), 3, 1, 1) == (2, 1)
+    # width 2 also counts the last step, at 1
+    assert kernels.ring_walk_wins(np.array([1, 1, 0, 1]), 3, 2, 1) == (3, 1)
 
 
 # level + size reaches 2**31 at the int32/int64 switch of push_letters_until

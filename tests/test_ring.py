@@ -1,6 +1,7 @@
 """Wheel games: exact values, solver behaviour, and Monte Carlo agreement."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parrondo import ring
+from parrondo import reproduce, ring
 
 import oracles
 
@@ -99,7 +100,7 @@ def _dense_rows(matrix):
     ]
 
 
-def test_dense_solver_agrees_with_candidate_path():
+def test_dense_solver_agrees_with_the_uniform_law():
     # the oracle's Gauss-Jordan solution of pi P = pi, sum(pi) = 1, must be
     # the uniform law the package returns without solving anything
     for moduli in ((3,), (5,), (3, 7), (3, 11)):
@@ -183,12 +184,26 @@ def test_combined_rate_four_games():
     assert report.win_probability == Fraction(2195, 4389)
 
 
+LISTED_SWEEP_PAIRS = [
+    (3, 7), (3, 11), (3, 19), (3, 23), (3, 31),
+    (7, 11), (7, 19), (7, 23), (7, 31),
+    (11, 19), (11, 23), (11, 31),
+    (19, 23), (19, 31), (23, 31),
+]
+
+
 def test_parrondo_effect_spot_checks():
-    for m, n in ((3, 7), (7, 19), (11, 23)):
-        assert ring.single_game_rate(ring.RotationGame(m)).rate < 0
-        assert ring.single_game_rate(ring.RotationGame(n)).rate < 0
+    # every pair of reproduce's sweep, which holds the listed pairs
+    pairs = reproduce.sweep_pairs()
+    assert len(pairs) == 25
+    assert set(LISTED_SWEEP_PAIRS) <= set(pairs)
+    start = time.perf_counter()
+    for m, n in pairs:
+        assert ring.single_game_rate(ring.RotationGame(m)).rate == Fraction(-1, m)
+        assert ring.single_game_rate(ring.RotationGame(n)).rate == Fraction(-1, n)
         combined = ring.combined_rate(ring.CombinedRingGame.from_moduli((m, n)))
         assert combined.rate == Fraction(1, m * n) > 0
+    assert time.perf_counter() - start < 10.0
 
 
 def test_simulate_ring_is_deterministic():
@@ -309,6 +324,40 @@ def test_simulate_ring_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 10**6
+
+
+def test_simulate_ring_memory_does_not_grow_with_the_ring():
+    # the walk holds nothing M-sized: at M = 255,255 one int64 array of the
+    # positions alone would take 2 MB
+    def peak(moduli):
+        game = ring.CombinedRingGame.from_moduli(moduli)
+        tracemalloc.start()
+        try:
+            ring.simulate_ring(game, 10**5, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak((3, 5, 7, 11, 13, 17)) <= peak((3, 7)) + 2**19
+
+
+@pytest.mark.parametrize(
+    "moduli, frequency, steps",
+    [
+        ((3, 7), Fraction(5, 9), 900),
+        ((3,), Fraction(1, 4), 8),
+        ((3, 5, 7, 11, 13, 17), Fraction(1, 2), 10**6),
+    ],
+)
+def test_win_frequency_z_is_the_binomial_score(moduli, frequency, steps):
+    M = math.prod(moduli)
+    p = (2 * (M // 4) + 1) / M
+    standard_error = math.sqrt(p * (1 - p) / steps)
+    game = ring.CombinedRingGame.from_moduli(moduli)
+    assert ring.win_frequency_z(game, frequency, steps) == (
+        standard_error,
+        (float(frequency) - p) / standard_error,
+    )
 
 
 def test_simulate_ring_rejects_bad_steps():

@@ -79,12 +79,12 @@ def test_hadamard_probability_rejects_bad_input():
         statevec.hadamard_probability(np.ones(6), 0)
 
 
-def test_phase_oracle_identity_for_alpha_zero():
+def test_parity_flip_identity_for_alpha_zero():
     v = random_unit(4, 1)
     assert np.array_equal(phase(v, 0), v)
 
 
-def test_phase_oracle_parity_pattern():
+def test_parity_flip_pattern():
     got = phase(statevec.uniform_state(2), 3)
     assert np.max(np.abs(got - [0.5, -0.5, -0.5, 0.5])) < ATOL
 
