@@ -70,7 +70,6 @@ def _json_type(action: argparse.Action):
 class Output:
     report: dict
     table: list[str]
-    fmt: str
     code: int
     csv_rows: list[list] | None = None
 
@@ -212,7 +211,7 @@ def cmd_ring(args) -> Output:
             f"z = {z:+.3f} binomial standard errors"
         )
 
-    return Output(report, table, args.format, EXIT_OK)
+    return Output(report, table, EXIT_OK)
 
 
 def cmd_bv(args) -> Output:
@@ -318,7 +317,7 @@ def cmd_bv(args) -> Output:
             f"alpha measured {hits} times ({hits / samples:.6f})"
         )
 
-    return Output(report, table, args.format, EXIT_OK)
+    return Output(report, table, EXIT_OK)
 
 
 def _resolve_strategy(text: str, n: int) -> tuple[str, int]:
@@ -428,7 +427,7 @@ def cmd_grover(args) -> Output:
             )
 
     code = EXIT_CAP if stats.cap_exceeded > 0 else EXIT_OK
-    return Output(report, table, args.format, code, csv_rows)
+    return Output(report, table, code, csv_rows)
 
 
 def cmd_reproduce(args) -> Output:
@@ -464,7 +463,7 @@ def cmd_reproduce(args) -> Output:
         f"{sum(r.passed for r in rows)}/{len(rows)} rows passed"
         + ("" if all_passed else " -- FAILURES ABOVE")
     )
-    return Output(report, table, args.format, EXIT_OK if all_passed else EXIT_FAILED)
+    return Output(report, table, EXIT_OK if all_passed else EXIT_FAILED)
 
 
 def _flatten(value, prefix=""):
@@ -494,10 +493,10 @@ def _null_nan(value):
     return value
 
 
-def _emit(out: Output) -> None:
-    if out.fmt == "json":
+def _emit(out: Output, fmt: str) -> None:
+    if fmt == "json":
         print(json.dumps(_null_nan(out.report), indent=2, allow_nan=False))
-    elif out.fmt == "csv":
+    elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         if out.csv_rows is not None:
@@ -618,7 +617,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit(out)
+    _emit(out, args.format)
     return out.code
 
 
