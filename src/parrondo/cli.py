@@ -99,7 +99,10 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     where the flag has choices, be one of them.
     """
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"config file {path} nests too deeply to parse") from None
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
@@ -142,13 +145,18 @@ def cmd_ring(args) -> Output:
     if args.moduli is None:
         raise ValueError("missing --moduli (comma-separated odd coprime values)")
     moduli = _parse_moduli(args.moduli)
-    game = ring.CombinedRingGame.from_moduli(moduli)
-    size = game.modulus_product
-    _check_limit("moduli product", size, ring.MAX_POSITIONS, "positions")
+    # the ring size comes before any gcd, prefix by prefix: a long list fails
+    # at its first oversized prefix, which is at most MAX_POSITIONS squared
+    size = 1
+    for m in moduli:
+        _check_limit("modulus", m, ring.MAX_POSITIONS, "positions")
+        size *= m
+        _check_limit("moduli product", size, ring.MAX_POSITIONS, "positions")
+    game = ring.CombinedRingGame(tuple(moduli))
     if args.steps is not None:
         _check_limit("steps", args.steps, ring.MAX_STEPS, "Monte Carlo steps")
 
-    singles = [ring.single_game_rate(g) for g in game.games]
+    singles = [ring.single_game_rate(m) for m in moduli]
     # the law is uniform and unique for every combined game (see combined_rate)
     weight = _frac(Fraction(1, size))
     combined = ring.combined_rate(game)

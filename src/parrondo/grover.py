@@ -106,12 +106,12 @@ def success_after_k(n: int, k: int) -> float:
 def canonical_k(n: int) -> int:
     """The textbook round count ceil(pi * sqrt(2**n) / 4).
 
-    A 1e-9 guard keeps values that are integers up to float rounding from
-    being bumped one step too high by ceil.
+    pi * sqrt(2**n) / 4 is irrational, and for n in 2..24 it lies at least
+    0.009 from every integer, so float rounding never moves the ceiling there.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return math.ceil(math.pi * math.sqrt(2.0**n) / 4.0 - 1e-9)
+    return math.ceil(math.pi * math.sqrt(2.0**n) / 4.0)
 
 
 def best_k(n: int) -> int:

@@ -18,6 +18,7 @@ from . import bv, grover, kernels, ring, statevec
 
 MC_SEEDS = (1, 2, 3, 4, 5)
 MC_STEPS = 10**6
+SWEEP_LIMIT = 31
 
 # closed-form successes of the ceiling-rule round counts at small n, where the
 # rule lands below 1/2 (derived: sin((2k+1) asin(2**(-n/2)))**2)
@@ -50,7 +51,7 @@ def _row(ident, name, expected, observed, passed, note=""):
 
 def _single_rate_rows():
     for m, want in ((3, Fraction(-1, 3)), (7, Fraction(-1, 7))):
-        got = ring.single_game_rate(ring.RotationGame(m)).rate
+        got = ring.single_game_rate(m).rate
         yield _row(
             f"ring-rate-{m}",
             f"single wheel game m={m} loses at rate 1/{m}",
@@ -61,7 +62,7 @@ def _single_rate_rows():
 
 
 def _combined_rows():
-    game = ring.CombinedRingGame.from_moduli((3, 7))
+    game = ring.CombinedRingGame((3, 7))
     report = ring.combined_rate(game)
     yield _row(
         "ring-combined-win",
@@ -101,9 +102,9 @@ def _combined_rows():
     )
 
 
-def sweep_pairs(limit: int = 31):
-    """All coprime odd pairs m < n <= limit with both moduli = 3 mod 4."""
-    values = [v for v in range(3, limit + 1) if v % 4 == 3]
+def sweep_pairs():
+    """All coprime odd pairs m < n <= SWEEP_LIMIT with both moduli = 3 mod 4."""
+    values = [v for v in range(3, SWEEP_LIMIT + 1) if v % 4 == 3]
     return [
         (m, n)
         for i, m in enumerate(values)
@@ -116,14 +117,14 @@ def _sweep_row():
     bad = []
     pairs = sweep_pairs()
     for m, n in pairs:
-        rm = ring.single_game_rate(ring.RotationGame(m)).rate
-        rn = ring.single_game_rate(ring.RotationGame(n)).rate
-        rc = ring.combined_rate(ring.CombinedRingGame.from_moduli((m, n))).rate
+        rm = ring.single_game_rate(m).rate
+        rn = ring.single_game_rate(n).rate
+        rc = ring.combined_rate(ring.CombinedRingGame((m, n))).rate
         if not (rm < 0 and rn < 0 and rc == Fraction(1, m * n)):
             bad.append((m, n))
     yield _row(
         "ring-sweep",
-        f"two losing wheels combine to rate 1/(m*n) for {len(pairs)} pairs up to 31",
+        f"two losing wheels combine to rate 1/(m*n) for {len(pairs)} pairs up to {SWEEP_LIMIT}",
         "single rates < 0, combined rate = 1/(m*n)",
         "all pairs verified" if not bad else f"failures: {bad}",
         not bad,
@@ -131,7 +132,7 @@ def _sweep_row():
 
 
 def _monte_carlo_row():
-    game = ring.CombinedRingGame.from_moduli((3, 7))
+    game = ring.CombinedRingGame((3, 7))
     worst = 0.0
     for seed in MC_SEEDS:
         frequency = ring.simulate_ring(game, MC_STEPS, seed).win_probability

@@ -1,11 +1,11 @@
 """Classical wheel games: exact rational analysis plus seeded Monte Carlo.
 
-A rotation game with odd modulus m spins a wheel by 2*pi*a/m radians, a drawn
-uniformly from 0..m-1; the player wins a round while the pointer angle theta
-satisfies cos(theta) > 0 (the upper half-circle).  Random mixtures of games
-with pairwise coprime moduli live on Z_M, M the product of the moduli.  All
-probabilities on the exact side are `fractions.Fraction`; only the Monte
-Carlo cross-check uses floats.
+A wheel with odd modulus m spins by 2*pi*a/m radians, a drawn uniformly from
+0..m-1; the player wins a round while the pointer angle theta satisfies
+cos(theta) > 0 (the upper half-circle).  Random mixtures of wheels with
+pairwise coprime moduli live on Z_M, M the product of the moduli; a single
+wheel is the mixture of one modulus.  All probabilities on the exact side
+are `fractions.Fraction`; only the Monte Carlo cross-check uses floats.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -22,9 +21,7 @@ from . import kernels
 __all__ = [
     "MAX_POSITIONS",
     "MAX_STEPS",
-    "RotationGame",
     "CombinedRingGame",
-    "RateReport",
     "winning_count",
     "single_game_rate",
     "transition_matrix",
@@ -59,41 +56,28 @@ def _check_modulus(m: int) -> None:
 
 
 @dataclass(frozen=True)
-class RotationGame:
-    """Wheel game whose robot rotates by 2*pi*a/modulus, a uniform in 0..modulus-1."""
-
-    modulus: int
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-
-
-@dataclass(frozen=True)
 class CombinedRingGame:
-    """Uniformly random mixture of rotation games with pairwise coprime moduli."""
+    """Uniformly random mixture of wheels with pairwise coprime odd moduli.
 
-    games: tuple[RotationGame, ...]
+    Each modulus is checked against the product of the ones before it, so
+    the coprime check costs one gcd per modulus.
+    """
+
+    moduli: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "games", tuple(self.games))
-        if not self.games:
-            raise ValueError("a combined game needs at least one rotation game")
-        mods = self.moduli
-        for i in range(len(mods)):
-            for j in range(i + 1, len(mods)):
-                g = math.gcd(mods[i], mods[j])
-                if g != 1:
-                    raise ValueError(
-                        f"moduli must be pairwise coprime: gcd({mods[i]}, {mods[j]}) = {g}"
-                    )
-
-    @classmethod
-    def from_moduli(cls, moduli: Iterable[int]) -> "CombinedRingGame":
-        return cls(tuple(RotationGame(m) for m in moduli))
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(g.modulus for g in self.games)
+        object.__setattr__(self, "moduli", tuple(self.moduli))
+        if not self.moduli:
+            raise ValueError("a combined game needs at least one modulus")
+        product = 1
+        for m in self.moduli:
+            _check_modulus(m)
+            if math.gcd(m, product) != 1:
+                k = next(k for k in self.moduli if math.gcd(k, m) != 1)
+                raise ValueError(
+                    f"moduli must be pairwise coprime: gcd({k}, {m}) = {math.gcd(k, m)}"
+                )
+            product *= m
 
     @property
     def modulus_product(self) -> int:
@@ -123,10 +107,6 @@ class RateReport:
     win_probability: Fraction
     winning_count: int
 
-    def __post_init__(self):
-        if not (0 <= self.win_probability <= 1):
-            raise ValueError(f"win probability {self.win_probability} outside [0, 1]")
-
     @property
     def rate(self) -> Fraction:
         return 2 * self.win_probability - 1
@@ -152,10 +132,9 @@ def transition_matrix(combined: CombinedRingGame) -> TransitionMatrix:
     of that offset law, which has at most sum(m_i) entries.
     """
     M = combined.modulus_product
-    G = len(combined.games)
+    G = len(combined.moduli)
     offsets: dict[int, Fraction] = {}
-    for game in combined.games:
-        m = game.modulus
+    for m in combined.moduli:
         p = Fraction(1, G * m)
         stride = M // m
         for a in range(m):
@@ -174,9 +153,9 @@ def stationary_distribution(matrix: TransitionMatrix) -> Fraction:
     return Fraction(1, matrix.size)
 
 
-def single_game_rate(game: RotationGame) -> RateReport:
-    """Exact rate of one rotation game played on its own wheel."""
-    return combined_rate(CombinedRingGame((game,)))
+def single_game_rate(modulus: int) -> RateReport:
+    """Exact rate of one wheel played on its own, the mixture of one modulus."""
+    return combined_rate(CombinedRingGame((modulus,)))
 
 
 def combined_rate(combined: CombinedRingGame) -> RateReport:

@@ -245,3 +245,17 @@ def bv_success_dense(n, alpha, unflipped):
             state[x] = -state[x]
     state = hadamard @ state
     return float(state[alpha] ** 2)
+
+
+def odd_primes(count):
+    """The first count odd primes, by a sieve of Eratosthenes grown until they fit."""
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+        primes = [p for p in range(3, limit) if sieve[p]]
+        if len(primes) >= count:
+            return tuple(primes[:count])
+        limit *= 2

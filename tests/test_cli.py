@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 import parrondo
 from parrondo import bv, cli, grover, kernels, reproduce, ring, statevec
+
+import oracles
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -81,6 +84,24 @@ def test_ring_rejects_more_positions_than_the_limit(capsys):
     assert out == ""
     assert "4849845" in err
     assert f"limit of {ring.MAX_POSITIONS} positions" in err
+
+
+def test_ring_checks_the_ring_size_before_any_gcd(tmp_path, capsys):
+    # the first oversized prefix fails, so a long list neither runs a gcd per
+    # modulus nor formats its product, which is past str()'s 4300 digits
+    config = tmp_path / "ring.json"
+    config.write_text(json.dumps({"moduli": list(oracles.odd_primes(4_000))}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ring", "--config", str(config))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: moduli product 4849845 exceeds the limit of {ring.MAX_POSITIONS} positions\n"
+    )
+    code, _, err = run_cli(capsys, "ring", "--moduli", f"3,{ring.MAX_POSITIONS + 1}")
+    assert code == 2
+    assert f"modulus {ring.MAX_POSITIONS + 1} exceeds the limit" in err
 
 
 def test_ring_json_schema(capsys):
@@ -651,16 +672,22 @@ DIGESTS = json.loads(
 @pytest.mark.parametrize(
     "command",
     [
-        "ring --moduli 3,7,11,19 --format json --seed 1",
-        "ring --moduli 3,7 --steps 1000000 --format json --seed 3",
+        "ring --moduli 3,7 --steps 20000000 --format json --seed 1",
         "reproduce --format json",
         "grover -n 4 --strategy canonical --format json --seed 1",
         "grover -n 3 --strategy best --format json --seed 1",
         "grover -n 4 --sweep --format csv --seed 1",
         "grover -n 13 --format json --seed 1",
+        "grover -n 16 --sweep --trials 1 --format json --seed 1",
     ]
-    # every recorded bv command: seeds 1-8 of each of its three families
-    + [command for command in DIGESTS if command.startswith("bv ")],
+    # every recorded bv command and the two short ring families: seeds 1-8 each
+    + [
+        command
+        for command in DIGESTS
+        if command.startswith(
+            ("bv ", "ring --moduli 3,7,11,19 ", "ring --moduli 3,7 --steps 1000000 ")
+        )
+    ],
 )
 def test_stdout_matches_the_recorded_digest(capsys, command):
     recorded = DIGESTS[command]
@@ -685,6 +712,15 @@ def test_readme_cli_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5)
+    code, out, err = run_cli(capsys, "ring", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config file {path} nests too deeply to parse\n"
 
 
 def test_missing_config_file_is_a_config_error(capsys):

@@ -128,6 +128,20 @@ def test_canonical_k_values():
         grover.canonical_k(1)
 
 
+# pi to 39 decimals, rounded down, so PI_LOW < pi < PI_LOW + 10**-39
+PI_LOW = Fraction(3141592653589793238462643383279502884197, 10**39)
+
+
+def test_canonical_k_is_the_exact_ceiling():
+    # k = ceil(pi * sqrt(2**n) / 4) exactly when 16(k-1)^2 < pi^2 * 2^n < 16k^2,
+    # pi irrational; bounding pi from both sides makes the comparison exact
+    pi_high = PI_LOW + Fraction(1, 10**39)
+    for n in range(2, 25):
+        k = grover.canonical_k(n)
+        assert 16 * (k - 1) ** 2 < PI_LOW**2 * 2**n, n
+        assert pi_high**2 * 2**n < 16 * k**2, n
+
+
 def test_best_k_values():
     assert grover.best_k(2) == 1
     assert abs(grover.success_after_k(2, 1) - 1.0) < ATOL
