@@ -35,6 +35,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_range(what: str, value: int, low=None, high=None, unit: str = "") -> int:
+    """value, once it lies in [low, high]; either end may be left open with None."""
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{what} {value} exceeds the limit of {high} {unit}")
+    return value
+
+
 def _is_integer_text(text: str) -> bool:
     """The CLI's one integer grammar: ASCII digits after an optional '-'.
 
@@ -45,11 +54,21 @@ def _is_integer_text(text: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
+def _to_int(what: str, text: str) -> int:
+    """int(text) for digits int() takes, with a named error past its digit limit."""
+    limit = sys.get_int_max_str_digits() or None
+    _check_range(f"{what} digit count", len(text.removeprefix("-")), high=limit, unit="digits")
+    return int(text)
+
+
 def _integer(text: str) -> int:
     """argparse type of every integer flag: int(text) under _is_integer_text."""
     if not _is_integer_text(text):
         raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
-    return int(text)
+    try:
+        return _to_int("integer", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _json_type(action: argparse.Action):
@@ -89,7 +108,7 @@ def _parse_moduli(value) -> list[int]:
     for tok in tokens:
         if not (tok.isascii() and tok.isdigit()):
             raise ValueError(f"moduli must be comma-separated digits, got token {tok!r}")
-    return [int(tok) for tok in tokens]
+    return [_to_int("modulus", tok) for tok in tokens]
 
 
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -103,6 +122,8 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
             config = json.load(fh)
         except RecursionError:
             raise ValueError(f"config file {path} nests too deeply to parse") from None
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
@@ -121,24 +142,10 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     return config
 
 
-def _check_limit(what: str, value: int, limit: int, unit: str) -> None:
-    if value > limit:
-        raise ValueError(f"{what} {value} exceeds the limit of {limit} {unit}")
-
-
 def _qubits(n: int | None) -> int:
     if n is None:
         raise ValueError("missing -n/--qubits")
-    if not (2 <= n <= statevec.MAX_QUBITS):
-        raise ValueError(f"qubit count must be in [2, {statevec.MAX_QUBITS}], got {n}")
-    return n
-
-
-def _trials(trials: int, limit: int) -> int:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_limit("trials", trials, limit, "plays")
-    return trials
+    return _check_range("qubit count", n, 2, statevec.MAX_QUBITS, "qubits")
 
 
 def cmd_ring(args) -> Output:
@@ -149,12 +156,12 @@ def cmd_ring(args) -> Output:
     # at its first oversized prefix, which is at most MAX_POSITIONS squared
     size = 1
     for m in moduli:
-        _check_limit("modulus", m, ring.MAX_POSITIONS, "positions")
+        _check_range("modulus", m, high=ring.MAX_POSITIONS, unit="positions")
         size *= m
-        _check_limit("moduli product", size, ring.MAX_POSITIONS, "positions")
+        _check_range("moduli product", size, high=ring.MAX_POSITIONS, unit="positions")
     game = ring.CombinedRingGame(tuple(moduli))
     if args.steps is not None:
-        _check_limit("steps", args.steps, ring.MAX_STEPS, "Monte Carlo steps")
+        _check_range("steps", args.steps, 1, ring.MAX_STEPS, "Monte Carlo steps")
 
     singles = [ring.single_game_rate(m) for m in moduli]
     # the law is uniform and unique for every combined game (see combined_rate)
@@ -225,11 +232,8 @@ def cmd_ring(args) -> Output:
 def cmd_bv(args) -> Output:
     n = _qubits(args.n)
     alpha, mode, seed = args.alpha, args.mode, args.seed
-    trials = _trials(args.trials, bv.MAX_TRIALS)
-    samples = args.samples
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    _check_limit("samples", samples, bv.MAX_SAMPLES, "shots")
+    trials = _check_range("trials", args.trials, 1, bv.MAX_TRIALS, "plays")
+    samples = _check_range("samples", args.samples, 0, bv.MAX_SAMPLES, "shots")
     # first_candidate checks alpha, and the exhaustive mean its qubit count,
     # so every input is checked before the first trial
     baseline_y = bv.first_candidate(n, alpha)
@@ -334,14 +338,23 @@ def _resolve_strategy(text: str, n: int) -> tuple[str, int]:
     if text == "best":
         return "best", grover.best_k(n)
     if text.startswith("k=") and _is_integer_text(text[2:]):
-        k = int(text[2:])
-        if k < 1:
-            raise ValueError(f"explicit k must be >= 1, got {k}")
-        _check_limit("explicit k", k, grover.MAX_ROUNDS, "rounds")
+        k = _to_int("explicit k", text[2:])
+        _check_range("explicit k", k, 1, grover.MAX_ROUNDS, "rounds")
         return f"k={k}", k
     raise ValueError(
         f"strategy must be 'canonical', 'best' or 'k=<int>', got {text!r}"
     )
+
+
+def _null_nan(value):
+    """The report with NaN floats (moments over zero plays) replaced by None."""
+    if isinstance(value, dict):
+        return {k: _null_nan(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_nan(v) for v in value]
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
 
 
 def cmd_grover(args) -> Output:
@@ -349,9 +362,9 @@ def cmd_grover(args) -> Output:
     alpha, seed, letter_cap = args.alpha, args.seed, args.letter_cap
     if not (0 <= alpha < (1 << n)):
         raise ValueError(f"alpha {alpha} out of range for {n} qubits")
-    trials = _trials(args.trials, grover.MAX_TRIALS)
-    if letter_cap < 1:
-        raise ValueError(f"letter cap must be >= 1, got {letter_cap}")
+    trials = _check_range("trials", args.trials, 1, grover.MAX_TRIALS, "plays")
+    if letter_cap is not None:
+        _check_range("letter cap", letter_cap, 1)
     strategy_name, k = _resolve_strategy(args.strategy, n)
     sweep_top = grover.canonical_k(n) + 2
     # one pass of rounds gives this k's success and every sweep row
@@ -367,7 +380,8 @@ def cmd_grover(args) -> Output:
             "try --strategy best"
         )
 
-    stats = grover.waiting_time_stats(k, trials, seed, letter_cap)
+    cap = grover.default_letter_cap(k) if letter_cap is None else letter_cap
+    stats = grover.waiting_time_stats(k, trials, seed, cap)
     expected = grover.expected_stopping_index(k)
 
     report = {
@@ -387,7 +401,7 @@ def cmd_grover(args) -> Output:
             "variance": stats.variance,
             "max": stats.max,
             "cap_exceeded": stats.cap_exceeded,
-            "letter_cap": letter_cap,
+            "letter_cap": cap,
             "expected_mean": _frac(expected),
         },
     }
@@ -405,6 +419,8 @@ def cmd_grover(args) -> Output:
         f"max {stats.max}, cap exceeded {stats.cap_exceeded}",
     ]
 
+    # capped plays drop out of a mean, so every block or sweep row with one is named
+    capped = [f"{stats.cap_exceeded} of {trials} plays at k={k}"] if stats.cap_exceeded else []
     csv_rows = None
     if args.sweep:
         sweep = []
@@ -413,9 +429,12 @@ def cmd_grover(args) -> Output:
             if kk == 0:
                 mean_wait = 0.0
             else:
-                mean_wait = grover.waiting_time_stats(
-                    kk, trials, seed + kk, letter_cap
-                ).mean
+                row_stats = grover.waiting_time_stats(kk, trials, seed + kk, letter_cap)
+                mean_wait = row_stats.mean
+                if row_stats.cap_exceeded:
+                    capped.append(
+                        f"{row_stats.cap_exceeded} of {trials} plays in sweep row k={kk}"
+                    )
             sweep.append(
                 {
                     "k": kk,
@@ -434,8 +453,10 @@ def cmd_grover(args) -> Output:
                 f"{row['simulated_success']:.9f}  {row['mean_waiting_time']:.3f}"
             )
 
-    code = EXIT_CAP if stats.cap_exceeded > 0 else EXIT_OK
-    return Output(report, table, code, csv_rows)
+    if capped:
+        print(f"letter cap hit: {'; '.join(capped)}", file=sys.stderr)
+    # only a waiting time over zero finished plays is NaN, which strict JSON lacks
+    return Output(_null_nan(report), table, EXIT_CAP if capped else EXIT_OK, csv_rows)
 
 
 def cmd_reproduce(args) -> Output:
@@ -490,20 +511,9 @@ def _flatten(value, prefix=""):
     return rows
 
 
-def _null_nan(value):
-    """The report with NaN floats (moments over zero plays) replaced by None."""
-    if isinstance(value, dict):
-        return {k: _null_nan(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_null_nan(v) for v in value]
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
-
-
 def _emit(out: Output, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_null_nan(out.report), indent=2, allow_nan=False))
+        print(json.dumps(out.report, indent=2, allow_nan=False))
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -592,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--letter-cap",
         dest="letter_cap",
         type=_integer,
-        default=grover.DEFAULT_LETTER_CAP,
-        help="abort a play after this many letters (default %(default)s)",
+        help="abort a play after this many letters (default: max(10**7, 20*L*(L+1)) "
+        "for a play that stops at reduced length L = 2k)",
     )
     _add_seed(grover_p)
     _add_common(grover_p, cmd_grover)
@@ -619,8 +629,7 @@ def main(argv=None) -> int:
             args.subparser.set_defaults(**config)
             args = parser.parse_args(argv)
         # numpy takes no negative seed; reject one even where nothing is drawn
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"seed must be >= 0, got {args.seed}")
+        _check_range("seed", getattr(args, "seed", 0), 0)
         out = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

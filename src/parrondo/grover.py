@@ -21,8 +21,6 @@ import numpy as np
 
 from . import kernels, statevec
 
-DEFAULT_LETTER_CAP = 10_000_000
-
 _STREAM_BLOCK = 1 << 14
 
 # Most plays the CLI accepts per waiting-time estimate.  waiting_time_stats
@@ -37,7 +35,6 @@ MAX_TRIALS = 10**6
 MAX_ROUNDS = 10**6
 
 __all__ = [
-    "DEFAULT_LETTER_CAP",
     "MAX_TRIALS",
     "MAX_ROUNDS",
     "WaitingTimeStats",
@@ -47,6 +44,7 @@ __all__ = [
     "canonical_k",
     "best_k",
     "waiting_time_stats",
+    "default_letter_cap",
     "expected_stopping_index",
     "stopping_index_variance",
 ]
@@ -208,22 +206,39 @@ def stopping_index_variance(target_k: int) -> Fraction:
     return Fraction(level * (level + 1) * ((level + 1) ** 2 + level**2 - 2), 3)
 
 
+def default_letter_cap(target_k: int) -> int:
+    """Letters a play may spend by default: max(10**7, 20 * L * (L + 1)), L = 2*target_k.
+
+    The stopping index has mean L(L+1) and an exponential tail on the scale
+    L^2, so a play passes 20 times its mean with probability below 2.5e-11
+    at every L (tests/oracles.py checks this exactly for small L): the cap
+    only bounds a pathological stream, at any qubit count.
+    """
+    if target_k < 1:
+        raise ValueError(f"target_k must be >= 1, got {target_k}")
+    level = 2 * target_k
+    return max(10**7, 20 * level * (level + 1))
+
+
 def waiting_time_stats(
     target_k: int,
     trials: int,
     seed: int,
-    letter_cap: int = DEFAULT_LETTER_CAP,
+    letter_cap: int | None = None,
 ) -> WaitingTimeStats:
     """Distribution of the stopping index over independent seeded plays.
 
-    Plays that hit the letter cap are counted in cap_exceeded and excluded
-    from the moments.  The state vector never enters: waiting times depend
-    only on the letter stream.
+    Plays that hit the letter cap, default_letter_cap(target_k) unless
+    given, are counted in cap_exceeded and excluded from the moments.  The
+    state vector never enters: waiting times depend only on the letter
+    stream.
     """
     if target_k < 1:
         raise ValueError(f"target_k must be >= 1, got {target_k}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if letter_cap is None:
+        letter_cap = default_letter_cap(target_k)
     times = []
     cap_exceeded = 0
     for i in range(trials):

@@ -36,7 +36,11 @@ __all__ = [
 # O(sum of the moduli) and simulate_ring holds nothing M-sized, so only the
 # JSON report's M stationary weights bound the ring: about 0.8 KB of peak RSS
 # per position (239 MB and 2.7 s at M = 255,255 on a 2-core Xeon), so the
-# next wheel, 19, would need about 4 GB.
+# next wheel, 19, would need about 4 GB.  It also bounds the walk, so
+# simulate_ring refuses a larger ring: _Words matches Generator.integers only
+# for bounds up to 2**32, and each redraw re-queues the rest of its block, so
+# the walk stays linear in its steps only while redraws are rare, as they are
+# for moduli far below 2**32 (a modulus of 2**31 + 1 redraws half its words).
 MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
@@ -244,7 +248,8 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     blocks of _WALK_BLOCK steps.  One stream first draws all the choices and
     throws them away, which leaves it at the first rotation; a second one
     replays the choices from the seed.  The draws in blocks are those of one
-    long draw, so the block size does not change the result.
+    long draw, so the block size does not change the result.  Rings of more
+    than MAX_POSITIONS positions are refused (see there).
 
     The walk runs in coordinates rotated by q = M // 4, starting at q: the
     winning arc [-q, q] of Z_M becomes [0, 2q], so the kernel counts the
@@ -253,6 +258,8 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     M = combined.modulus_product
+    if M > MAX_POSITIONS:
+        raise ValueError(f"moduli product {M} exceeds the limit of {MAX_POSITIONS} positions")
     moduli = np.array(combined.moduli, dtype=np.uint64)
     strides = (M // moduli).astype(np.int64)
     blocks = [min(_WALK_BLOCK, steps - start) for start in range(0, steps, _WALK_BLOCK)]

@@ -215,6 +215,25 @@ def exact_hitting_time_variance(level):
     return second[0] - first[0] ** 2
 
 
+def ruin_survival(level, steps):
+    """P(T > t) for t = 0..steps, T the steps a fair +-1 walk from 0 takes to hit level or -level-1.
+
+    Power iteration on the 2*level interior states -level..level-1, exact
+    over the integers: paths[i] counts the t-step paths that end at i - level
+    without touching a barrier, out of 2**t paths in all.
+    """
+    paths = [0] * (2 * level)
+    paths[level] = 1
+    survival = [Fraction(1)]
+    for t in range(1, steps + 1):
+        paths = [
+            (paths[i - 1] if i > 0 else 0) + (paths[i + 1] if i + 1 < len(paths) else 0)
+            for i in range(len(paths))
+        ]
+        survival.append(Fraction(sum(paths), 2**t))
+    return survival
+
+
 def push_letters_loops(bits, level, target):
     """Reference letter automaton: one Python step per letter.
 

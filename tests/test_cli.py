@@ -104,6 +104,14 @@ def test_ring_checks_the_ring_size_before_any_gcd(tmp_path, capsys):
     assert f"modulus {ring.MAX_POSITIONS + 1} exceeds the limit" in err
 
 
+def test_ring_checks_steps_before_the_exact_side(capsys, monkeypatch):
+    calls = []
+    combined_rate = ring.combined_rate
+    monkeypatch.setattr(ring, "combined_rate", lambda game: calls.append(1) or combined_rate(game))
+    code, out, err = run_cli(capsys, "ring", "--moduli", "3,7", "--steps", "0")
+    assert (code, out, err, calls) == (2, "", "error: steps must be >= 1, got 0\n", [])
+
+
 def test_ring_json_schema(capsys):
     code, out, _ = run_cli(
         capsys, "ring", "--moduli", "3,7", "--format", "json", "--steps", "1000"
@@ -155,10 +163,17 @@ def test_bv_rejects_alpha_zero(capsys):
     assert "alpha" in err
 
 
+QUBIT_BOUNDS = [
+    ("1", "qubit count must be >= 2, got 1"),
+    ("25", f"qubit count 25 exceeds the limit of {statevec.MAX_QUBITS} qubits"),
+]
+
+
 def test_bv_rejects_bad_qubit_count(capsys):
-    code, _, err = run_cli(capsys, "bv", "-n", "1", "--alpha", "1")
-    assert code == 2
-    assert "qubit count" in err
+    for n, message in QUBIT_BOUNDS:
+        code, _, err = run_cli(capsys, "bv", "-n", n, "--alpha", "1")
+        assert code == 2
+        assert err == f"error: {message}\n"
 
 
 def test_bv_exhaustive_mean(capsys):
@@ -309,13 +324,14 @@ def test_grover_strategy_takes_only_ascii_digits(tmp_path, capsys, strategy):
 
 
 def test_grover_rejects_bad_n(capsys):
-    code, _, err = run_cli(capsys, "grover", "-n", "1", "--trials", "5")
-    assert code == 2
-    assert "qubit count" in err
+    for n, message in QUBIT_BOUNDS:
+        code, _, err = run_cli(capsys, "grover", "-n", n, "--trials", "5")
+        assert code == 2
+        assert err == f"error: {message}\n"
 
 
 def test_grover_letter_cap_exit_code(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys,
         "grover",
         "-n",
@@ -329,10 +345,83 @@ def test_grover_letter_cap_exit_code(capsys):
     )
     assert code == 3
     assert "cap exceeded 3" in out
+    assert err == "letter cap hit: 3 of 3 plays at k=12\n"
 
 
 def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
+
+
+def test_grover_sweep_rows_that_hit_the_cap_exit_3(capsys):
+    # the main block finishes every play; sweep rows k = 2..6 lose plays to
+    # the cap, which drops them from their means
+    code, out, err = run_cli(
+        capsys, "grover", "-n", "4", "--sweep", "--letter-cap", "40",
+        "--strategy", "k=1", "--trials", "200",
+    )
+    assert code == 3
+    assert "cap exceeded 0" in out
+    assert err.count("\n") == 1
+    assert err.startswith("letter cap hit: ")
+    for k in range(3, 7):
+        assert f"sweep row k={k}" in err
+    assert "at k=1" not in err
+
+
+def test_default_letter_cap_is_taken_for_each_plays_own_k(capsys, monkeypatch):
+    calls = []
+    stopping_index = grover._stopping_index
+    monkeypatch.setattr(
+        grover,
+        "_stopping_index",
+        lambda rng, target, cap: calls.append((target, cap)) or stopping_index(rng, target, cap),
+    )
+    argv = ["grover", "-n", "2", "--strategy", "k=400", "--sweep", "--trials", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    # 20 L (L + 1) for the main block's L = 800; 10**7 for the sweep rows
+    assert json.loads(out)["waiting"]["letter_cap"] == 12_816_000
+    rows = range(1, grover.canonical_k(2) + 3)
+    assert calls == [(800, 12_816_000)] + [(2 * kk, 10**7) for kk in rows]
+    calls.clear()
+    code, _, _ = run_cli(capsys, *argv, "--letter-cap", "50")
+    assert code == 3
+    assert {cap for _, cap in calls} == {50}
+
+
+def test_default_letter_cap_grows_past_ten_million_at_18_qubits(capsys):
+    code, out, _ = run_cli(capsys, "grover", "-n", "18", "--trials", "1", "--format", "json")
+    assert code == 0
+    assert '"letter_cap": 13008840' in out
+
+
+def test_only_the_grover_report_is_rewritten_for_nan(capsys, monkeypatch):
+    reports = []
+    null_nan = cli._null_nan
+
+    def spy(value):
+        # the recursive calls on a report's parts carry no schema key
+        if isinstance(value, dict) and "schema" in value:
+            reports.append(value["command"])
+        return null_nan(value)
+
+    monkeypatch.setattr(cli, "_null_nan", spy)
+    for argv in (
+        ["ring", "--moduli", "3,7"],
+        ["bv", "-n", "3"],
+        ["grover", "-n", "3", "--trials", "5"],
+    ):
+        assert run_cli(capsys, *argv, "--format", "json")[0] == 0
+    assert reports == ["grover"]
+
+
+def test_grover_csv_leaves_the_moments_of_zero_plays_empty(capsys):
+    code, out, _ = run_cli(
+        capsys, "grover", "-n", "4", "--letter-cap", "1", "--trials", "5", "--format", "csv"
+    )
+    assert code == 3
+    assert "waiting.mean,\n" in out
+    assert "waiting.variance,\n" in out
 
 
 def test_grover_json_is_strict_when_every_play_hits_the_cap(capsys):
@@ -623,6 +712,54 @@ def test_malformed_integers_exit_2_before_any_work(capsys, command, flag, value)
     assert flag in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, flag", INTEGER_FLAGS, ids=[f"{c}{f}" for c, f in INTEGER_FLAGS]
+)
+def test_integers_past_python_digit_limit_name_their_flag(capsys, command, flag):
+    # int() refuses more digits than this; the error names the flag and the
+    # count instead of echoing every digit
+    digits = sys.get_int_max_str_digits() + 700
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, "9" * digits])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err) < 1000
+    assert flag in captured.err
+    assert f"integer digit count {digits} exceeds the limit" in captured.err
+
+
+def test_long_moduli_tokens_and_k_name_their_input(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    long = "9" * (limit + 700)
+    config = tmp_path / "ring.json"
+    config.write_text(json.dumps({"moduli": f"3,{long}"}))
+    want = f"error: modulus digit count {limit + 700} exceeds the limit of {limit} digits\n"
+    for argv in (["--moduli", f"3,{long}"], ["--config", str(config)]):
+        assert run_cli(capsys, "ring", *argv) == (2, "", want)
+    code, out, err = run_cli(capsys, "grover", "-n", "3", "--strategy", f"k={long}")
+    assert (code, out) == (2, "")
+    assert err == f"error: explicit k digit count {limit + 700} exceeds the limit of {limit} digits\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"moduli": [3, ' + "9" * 5000 + "]}", "5000 digits"),
+        ('{"moduli": [3,', "Expecting value"),
+    ],
+    ids=["long-integer", "truncated"],
+)
+def test_config_files_that_json_refuses_are_named(tmp_path, capsys, text, message):
+    path = tmp_path / "ring.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "ring", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config file {path}: ")
+    assert message in err
+    assert len(err) < 1000
+
+
 def test_round_trips_cover_every_flag():
     for command in ("ring", "bv", "grover", "reproduce"):
         dests = {a.dest for a in _subparser(command)._actions} - {"help", "config"}
@@ -674,18 +811,22 @@ DIGESTS = json.loads(
     [
         "ring --moduli 3,7 --steps 20000000 --format json --seed 1",
         "reproduce --format json",
-        "grover -n 4 --strategy canonical --format json --seed 1",
-        "grover -n 3 --strategy best --format json --seed 1",
         "grover -n 4 --sweep --format csv --seed 1",
         "grover -n 13 --format json --seed 1",
         "grover -n 16 --sweep --trials 1 --format json --seed 1",
     ]
-    # every recorded bv command and the two short ring families: seeds 1-8 each
+    # every recorded bv command and the short ring and grover families: seeds 1-8 each
     + [
         command
         for command in DIGESTS
         if command.startswith(
-            ("bv ", "ring --moduli 3,7,11,19 ", "ring --moduli 3,7 --steps 1000000 ")
+            (
+                "bv ",
+                "ring --moduli 3,7,11,19 ",
+                "ring --moduli 3,7 --steps 1000000 ",
+                "grover -n 4 --strategy canonical ",
+                "grover -n 3 --strategy best ",
+            )
         )
     ],
 )

@@ -177,7 +177,7 @@ def test_stopping_index_matches_fixed_block_reference():
     # targets 2 and 10 start below 64 and off a multiple of 4; 40 and 100
     # double their draws, 100 up to the block ceiling; caps cut draws short
     for target in (2, 10, 40, 100):
-        for cap in (1, 3, 7, 50, 111, 113, 1001, 20_001, grover.DEFAULT_LETTER_CAP):
+        for cap in (1, 3, 7, 50, 111, 113, 1001, 20_001, 10**7):
             for seed in range(12):
                 want = _stopping_index_fixed_blocks(np.random.default_rng(seed), target, cap)
                 rng = np.random.default_rng(seed)
@@ -216,6 +216,26 @@ def test_stopping_index_variance_closed_form():
         assert value == oracles.exact_hitting_time_variance(2 * k)
     with pytest.raises(ValueError):
         grover.stopping_index_variance(0)
+
+
+def test_twenty_mean_stopping_times_bound_every_play():
+    # the tail at 20 L(L+1) rises with L towards its large-L value 2.5e-11
+    for level in range(2, 9):
+        survival = oracles.ruin_survival(level, 20 * level * (level + 1))
+        assert survival[-1] < 2.5e-11
+        # the survivals sum to the mean, bar a tail below 2e-9
+        assert 0 < level * (level + 1) - sum(survival[:-1]) < 2e-9
+
+
+def test_default_letter_cap_follows_the_mean_stopping_time():
+    for k in (1, 2, 202, 353, 354, 403, 1000):
+        level = 2 * k
+        assert grover.default_letter_cap(k) == max(10**7, 20 * level * (level + 1))
+    # 10**7 up to k = 353, past every canonical, best and sweep k at n <= 17
+    assert grover.default_letter_cap(353) == 10**7 < grover.default_letter_cap(354)
+    assert grover.canonical_k(17) + 2 < 354
+    with pytest.raises(ValueError):
+        grover.default_letter_cap(0)
 
 
 def test_waiting_time_stats_small_target():

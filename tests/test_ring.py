@@ -367,3 +367,17 @@ def test_simulate_ring_rejects_bad_steps():
     game = ring.CombinedRingGame((3, 7))
     with pytest.raises(ValueError):
         ring.simulate_ring(game, 0, seed=1)
+
+
+def test_simulate_ring_refuses_rings_past_the_walk_limit():
+    # a modulus of 2**31 + 1 redraws about half its words, and every redraw
+    # re-queues the rest of its block, so the walk would grow quadratically
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceeds the limit of {ring.MAX_POSITIONS} positions"):
+        ring.simulate_ring(ring.CombinedRingGame((2**31 + 1,)), 2_000, seed=1)
+    with pytest.raises(ValueError, match="limit"):
+        ring.simulate_ring(ring.CombinedRingGame((ring.MAX_POSITIONS + 1,)), 2_000, seed=1)
+    assert time.perf_counter() - start < 0.1
+    for moduli in ((ring.MAX_POSITIONS - 1,), (3, 5, 7, 11, 13, 17)):
+        report = ring.simulate_ring(ring.CombinedRingGame(moduli), 2_000, seed=1)
+        assert 0 < report.winning_count < 2_000
