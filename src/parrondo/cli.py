@@ -35,12 +35,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _echo(value: int, prefix: str) -> str:
+    """value itself, or '<prefix> <d> digits' once it has more than 20 digits."""
+    digits = len(str(abs(value)))
+    return str(value) if digits <= 20 else f"{prefix} {digits} digits"
+
+
 def _check_range(what: str, value: int, low=None, high=None, unit: str = "") -> int:
     """value, once it lies in [low, high]; either end may be left open with None."""
     if low is not None and value < low:
-        raise ValueError(f"{what} must be >= {low}, got {value}")
+        raise ValueError(f"{what} must be >= {low}, got {_echo(value, 'a value of')}")
     if high is not None and value > high:
-        raise ValueError(f"{what} {value} exceeds the limit of {high} {unit}")
+        raise ValueError(f"{what} {_echo(value, 'of')} exceeds the limit of {high} {unit}")
     return value
 
 
@@ -380,8 +386,7 @@ def cmd_grover(args) -> Output:
             "try --strategy best"
         )
 
-    cap = grover.default_letter_cap(k) if letter_cap is None else letter_cap
-    stats = grover.waiting_time_stats(k, trials, seed, cap)
+    stats = grover.waiting_time_stats(k, trials, seed, letter_cap)
     expected = grover.expected_stopping_index(k)
 
     report = {
@@ -401,7 +406,7 @@ def cmd_grover(args) -> Output:
             "variance": stats.variance,
             "max": stats.max,
             "cap_exceeded": stats.cap_exceeded,
-            "letter_cap": cap,
+            "letter_cap": stats.letter_cap,
             "expected_mean": _frac(expected),
         },
     }

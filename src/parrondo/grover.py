@@ -118,20 +118,19 @@ def best_k(n: int) -> int:
     Scans k in [0, canonical_k(n) + 2]; ties resolve to the smaller k.  This
     repairs the small-n cases where the ceiling rule overshoots the optimum.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     return max(range(canonical_k(n) + 3), key=lambda k: success_after_k(n, k))
 
 
 @dataclass(frozen=True)
 class WaitingTimeStats:
-    """Empirical summary of stopping indices over independent plays."""
+    """Empirical summary of stopping indices over plays run under letter_cap."""
 
     trials: int
     mean: float
     variance: float
     max: int
     cap_exceeded: int
+    letter_cap: int
 
 
 def _letters(raw, size: int) -> np.ndarray:
@@ -181,6 +180,13 @@ def _stopping_index(
     return None
 
 
+def _level(target_k: int) -> int:
+    """The reduced length L = 2*target_k at which a play for target_k stops."""
+    if target_k < 1:
+        raise ValueError(f"target_k must be >= 1, got {target_k}")
+    return 2 * target_k
+
+
 def expected_stopping_index(target_k: int) -> Fraction:
     """Exact expected letters until the reduced length first reaches 2*target_k.
 
@@ -188,9 +194,7 @@ def expected_stopping_index(target_k: int) -> Fraction:
     is a fair +-1 walk from 0 that stops at L = 2*target_k or -L-1, a
     gambler's ruin with mean duration L * (L + 1).
     """
-    if target_k < 1:
-        raise ValueError(f"target_k must be >= 1, got {target_k}")
-    level = 2 * target_k
+    level = _level(target_k)
     return Fraction(level * (level + 1))
 
 
@@ -200,9 +204,7 @@ def stopping_index_variance(target_k: int) -> Fraction:
     The gambler's ruin duration from 0 between -(L+1) and L, with
     L = 2*target_k, has variance L(L+1)((L+1)^2 + L^2 - 2)/3.
     """
-    if target_k < 1:
-        raise ValueError(f"target_k must be >= 1, got {target_k}")
-    level = 2 * target_k
+    level = _level(target_k)
     return Fraction(level * (level + 1) * ((level + 1) ** 2 + level**2 - 2), 3)
 
 
@@ -214,9 +216,7 @@ def default_letter_cap(target_k: int) -> int:
     at every L (tests/oracles.py checks this exactly for small L): the cap
     only bounds a pathological stream, at any qubit count.
     """
-    if target_k < 1:
-        raise ValueError(f"target_k must be >= 1, got {target_k}")
-    level = 2 * target_k
+    level = _level(target_k)
     return max(10**7, 20 * level * (level + 1))
 
 
@@ -233,8 +233,7 @@ def waiting_time_stats(
     state vector never enters: waiting times depend only on the letter
     stream.
     """
-    if target_k < 1:
-        raise ValueError(f"target_k must be >= 1, got {target_k}")
+    level = _level(target_k)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if letter_cap is None:
@@ -245,7 +244,7 @@ def waiting_time_stats(
         # child i of the seed, made when play i runs: the same stream as
         # SeedSequence(seed).spawn(trials)[i]
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        index = _stopping_index(rng, 2 * target_k, letter_cap)
+        index = _stopping_index(rng, level, letter_cap)
         if index is None:
             cap_exceeded += 1
         else:
@@ -261,4 +260,5 @@ def waiting_time_stats(
         variance=variance,
         max=peak,
         cap_exceeded=cap_exceeded,
+        letter_cap=letter_cap,
     )

@@ -100,30 +100,31 @@ def _parities(first, size):
 def push_letters_until(bits, level, target):
     """Feed letters into the reduced length until it first equals target.
 
-    bits holds 0/1 letters (1 = A, 0 = B); level is the reduced length before
-    the first letter.  Returns (letters consumed, reduced length after them,
-    whether target was hit).  The start level itself never counts as a hit.
+    bits holds fewer than 2**31 letters, 0 or 1 (1 = A, 0 = B); level is the
+    reduced length before the first letter.  Returns (letters consumed,
+    reduced length after them, whether target was hit).  The start level
+    never counts as a hit, and a negative target is never reached.
 
     The reduced length l is the fold of a walk Z on the integers: l = Z for
-    Z >= 0 and l = -Z-1 below.  In Z every letter is a +-1 step, the lazy
-    reflection at l = 0 included (it is the step between Z = 0 and Z = -1).
-    Z steps up exactly when the letter differs from Z's parity, and that
-    parity is the start parity flipped once per letter, so the whole walk is
-    one cumsum.  Feller vol. 1, XIV.3 treats this walk as a gambler's ruin.
+    Z >= 0 and l = ~Z = -Z-1 below.  In Z every letter is a +-1 step, the lazy
+    reflection at l = 0 included (the step between Z = 0 and Z = -1).  Z
+    steps up exactly when the letter differs from Z's parity, the start
+    parity flipped once per letter, so Z - level is one int32 cumsum, within
+    +-bits.size.  l first equals target where Z first meets one of its two
+    barriers, target and ~target: a gambler's ruin (Feller vol. 1, XIV.3).
     """
     size = bits.size
     if size == 0:
         return 0, level, False
-    # the steps are int8 and Z is int32 unless |Z| could reach 2**31
-    wide = np.int32 if level + size < 2**31 else np.int64
     steps = bits.astype(np.uint8, copy=False) ^ _parities(level, size)
     steps <<= 1
     steps -= 1  # uint8 1 -> 1 and 0 -> 255, which is int8 -1
-    z = np.cumsum(steps.view(np.int8), dtype=wide)
-    z += level
-    reduced = z ^ (z >> (8 * z.itemsize - 1))  # l = Z for Z >= 0, -Z-1 (= ~Z) below
-    hits = reduced == target
-    t = int(hits.argmax())
-    if hits[t]:
-        return t + 1, int(reduced[t]), True
-    return size, int(reduced[-1]), False
+    walk = np.cumsum(steps.view(np.int8), dtype=np.int32)  # Z - level
+    if target >= 0:
+        hits = walk == target - level
+        hits |= walk == ~target - level
+        t = int(hits.argmax())
+        if hits[t]:
+            return t + 1, target, True
+    z = level + int(walk[-1])
+    return size, z if z >= 0 else ~z, False

@@ -88,11 +88,10 @@ def _combined_rows():
         "verified" if col_ok else "violated",
         col_ok,
     )
-    # pi = (w, ..., w) is the stationary law when w = 1/21 and pi P = pi
+    # pi = (w, ..., w) is the stationary law when w = 1/21 and pi P = pi; with
+    # every weight w, (pi P)_j is w times column sum j, so pi P = pi is col_ok
     w = ring.stationary_distribution(matrix)
-    uniform = w * matrix.size == 1 and all(
-        sum(w * matrix.entry(i, j) for i in states) == w for j in states
-    )
+    uniform = w * matrix.size == 1 and col_ok
     yield _row(
         "ring-stationary-uniform",
         "stationary distribution is uniform over the 21 positions",

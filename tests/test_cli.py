@@ -742,6 +742,40 @@ def test_long_moduli_tokens_and_k_name_their_input(tmp_path, capsys):
     assert err == f"error: explicit k digit count {limit + 700} exceeds the limit of {limit} digits\n"
 
 
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["grover", "-n", "3", "--trials", NINES], "trials"),
+        (["bv", "-n", "3", "--samples", NINES], "samples"),
+        (["ring", "--moduli", "3,7", "--steps", NINES], "steps"),
+        (["grover", "-n", NINES], "qubit count"),
+        (["grover", "-n", "3", "--strategy", f"k={NINES}"], "explicit k"),
+        (["grover", "-n", "3", "--seed", f"-{NINES}"], "seed"),
+        (["grover", "-n", "3", "--letter-cap", f"-{NINES}"], "letter cap"),
+        (["ring", "--moduli", f"3,{NINES}"], "modulus"),
+    ],
+    ids=["trials", "samples", "steps", "qubits", "k", "seed", "letter-cap", "moduli"],
+)
+def test_out_of_range_values_are_named_by_their_digit_count(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err) < 1000
+    assert what in err
+    assert "4000 digits" in err
+
+
+def test_out_of_range_values_of_up_to_20_digits_are_echoed(capsys):
+    for digits, shown in ((20, "9" * 20), (21, "of 21 digits")):
+        code, _, err = run_cli(capsys, "grover", "-n", "3", "--trials", "9" * digits)
+        assert code == 2
+        assert err == f"error: trials {shown} exceeds the limit of {grover.MAX_TRIALS} plays\n"
+    code, _, err = run_cli(capsys, "grover", "-n", "3", "--seed", "-" + "9" * 21)
+    assert err == "error: seed must be >= 0, got a value of 21 digits\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -811,7 +845,6 @@ DIGESTS = json.loads(
     [
         "ring --moduli 3,7 --steps 20000000 --format json --seed 1",
         "reproduce --format json",
-        "grover -n 4 --sweep --format csv --seed 1",
         "grover -n 13 --format json --seed 1",
         "grover -n 16 --sweep --trials 1 --format json --seed 1",
     ]
@@ -826,6 +859,7 @@ DIGESTS = json.loads(
                 "ring --moduli 3,7 --steps 1000000 ",
                 "grover -n 4 --strategy canonical ",
                 "grover -n 3 --strategy best ",
+                "grover -n 4 --sweep --format csv ",
             )
         )
     ],

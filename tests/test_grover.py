@@ -241,6 +241,7 @@ def test_default_letter_cap_follows_the_mean_stopping_time():
 def test_waiting_time_stats_small_target():
     stats = grover.waiting_time_stats(1, trials=2000, seed=5)
     assert stats.cap_exceeded == 0
+    assert stats.letter_cap == grover.default_letter_cap(1)
     assert stats.mean >= 2.0
     assert stats.max >= 2
     expected = float(grover.expected_stopping_index(1))
@@ -264,6 +265,7 @@ def test_waiting_time_stats_level_ten():
 def test_waiting_time_stats_counts_cap_hits_separately():
     stats = grover.waiting_time_stats(100, trials=5, seed=1, letter_cap=50)
     assert stats.cap_exceeded == 5
+    assert stats.letter_cap == 50
     assert math.isnan(stats.mean)
 
 
