@@ -237,11 +237,12 @@ def cmd_ring(args) -> Output:
 
 def cmd_bv(args) -> Output:
     n = _qubits(args.n)
-    alpha, mode, seed = args.alpha, args.mode, args.seed
+    alpha = _check_range("alpha", args.alpha, 1, (1 << n) - 1, f"for {n} qubits")
+    mode, seed = args.mode, args.seed
     trials = _check_range("trials", args.trials, 1, bv.MAX_TRIALS, "plays")
     samples = _check_range("samples", args.samples, 0, bv.MAX_SAMPLES, "shots")
-    # first_candidate checks alpha, and the exhaustive mean its qubit count,
-    # so every input is checked before the first trial
+    # the exhaustive mean checks its qubit count, so every input is checked
+    # before the first trial
     baseline_y = bv.first_candidate(n, alpha)
     if args.exhaustive:
         if mode != bv.INDEPENDENT:
@@ -365,9 +366,8 @@ def _null_nan(value):
 
 def cmd_grover(args) -> Output:
     n = _qubits(args.n)
-    alpha, seed, letter_cap = args.alpha, args.seed, args.letter_cap
-    if not (0 <= alpha < (1 << n)):
-        raise ValueError(f"alpha {alpha} out of range for {n} qubits")
+    alpha = _check_range("alpha", args.alpha, 0, (1 << n) - 1, f"for {n} qubits")
+    seed, letter_cap = args.seed, args.letter_cap
     trials = _check_range("trials", args.trials, 1, grover.MAX_TRIALS, "plays")
     if letter_cap is not None:
         _check_range("letter cap", letter_cap, 1)

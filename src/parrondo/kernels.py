@@ -77,12 +77,15 @@ def ring_walk_wins(increments, modulus, width, start):
     """Winning steps of the wheel walk from position start, and its end position.
 
     A step wins when its position mod modulus is below width: no table is read.
+    increments must be non-negative int64, and it is overwritten: the walk's
+    positions are computed in place.  They are never negative, so the floor
+    division gives the values of % without its hardware divide.
     """
     if increments.size == 0:
         return 0, start
-    positions = np.cumsum(increments)
+    positions = np.cumsum(increments, out=increments)
     positions += start
-    positions %= modulus
+    positions -= positions // modulus * modulus
     return int(np.count_nonzero(positions < width)), int(positions[-1])
 
 

@@ -45,11 +45,11 @@ MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
 # blocks of _WALK_BLOCK steps, so its memory does not grow with the steps, and
-# the cap bounds run time instead: about 28 ns per step on a 2-core Xeon,
-# 0.85 s at 3e7 steps with two or six wheels.
+# the cap bounds run time instead: about 15-18 ns per step on a 2-core Xeon,
+# 0.45-0.55 s at 3e7 steps with two or six wheels.
 MAX_STEPS = 3 * 10**7
 
-# Steps simulate_ring draws and walks at once; its arrays peak near 3 MB
+# Steps simulate_ring draws and walks at once; its arrays peak near 2.4 MB
 # under tracemalloc at any step count.
 _WALK_BLOCK = 2**16
 
@@ -186,7 +186,8 @@ class _Words:
     """
 
     def __init__(self, seed):
-        self._raw = np.random.PCG64(seed).random_raw
+        self._bit_generator = np.random.PCG64(seed)
+        self._raw = self._bit_generator.random_raw
         self._pending = np.empty(0, dtype=np.uint32)
 
     def _take(self, count):
@@ -199,6 +200,36 @@ class _Words:
         halves = self._raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")
         self._pending = halves[need:]
         return np.concatenate((pending, halves[:need])) if pending.size else halves[:need]
+
+    def skip(self, bound, count):
+        """Leave the stream where bounded(bound, count) leaves it, drawing no value.
+
+        A scalar bound of 1 takes no word.  Where Lemire's threshold
+        (2**32 - bound) % bound is 0, as for 2 and 4, no word is redrawn:
+        the pending words go first and PCG64.advance jumps over the rest.
+        Otherwise only the redrawn words decide how far the stream moves, so
+        the low halves w * bound mod 2**32 are scanned for them, _WALK_BLOCK
+        words at a time, and nothing is shifted or kept.
+        """
+        if bound == 1:
+            return
+        threshold = (2**32 - bound) % bound
+        if threshold == 0:
+            used = min(count, self._pending.size)
+            self._pending = self._pending[used:]
+            need = count - used
+            self._bit_generator.advance(need // 2)
+            if need % 2:
+                self._take(1)
+            return
+        while count:
+            words = self._take(min(count, _WALK_BLOCK))
+            low = np.multiply(words, np.uint32(bound))  # wraps mod 2**32
+            accepted = words.size
+            if low.min() < threshold:
+                accepted = int((low < threshold).argmax())
+                self._pending = np.concatenate((words[accepted + 1 :], self._pending))
+            count -= accepted
 
     def bounded(self, bound, size, index=None):
         """size int64 draws of integers(0, bound), or of integers(0, bound[index]).
@@ -245,11 +276,11 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     game choice, then every rotation, as np.random.default_rng(seed).integers
     would draw them.  The draws read PCG64's raw words and redraw by Lemire's
     rule (see _Words), so they match integers exactly.  The walk runs in
-    blocks of _WALK_BLOCK steps.  One stream first draws all the choices and
-    throws them away, which leaves it at the first rotation; a second one
-    replays the choices from the seed.  The draws in blocks are those of one
-    long draw, so the block size does not change the result.  Rings of more
-    than MAX_POSITIONS positions are refused (see there).
+    blocks of _WALK_BLOCK steps.  One stream skips the choices without
+    drawing them (_Words.skip), which leaves it at the first rotation; a
+    second one draws the choices from the seed.  The draws in blocks are those
+    of one long draw, so the block size does not change the result.  Rings of
+    more than MAX_POSITIONS positions are refused (see there).
 
     The walk runs in coordinates rotated by q = M // 4, starting at q: the
     winning arc [-q, q] of Z_M becomes [0, 2q], so the kernel counts the
@@ -262,14 +293,13 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
         raise ValueError(f"moduli product {M} exceeds the limit of {MAX_POSITIONS} positions")
     moduli = np.array(combined.moduli, dtype=np.uint64)
     strides = (M // moduli).astype(np.int64)
-    blocks = [min(_WALK_BLOCK, steps - start) for start in range(0, steps, _WALK_BLOCK)]
     rotations = _Words(seed)
-    for size in blocks:
-        rotations.bounded(moduli.size, size)
+    rotations.skip(moduli.size, steps)
     choices = _Words(seed)
     width = winning_count(M)
     wins, position = 0, M // 4
-    for size in blocks:
+    for start in range(0, steps, _WALK_BLOCK):
+        size = min(_WALK_BLOCK, steps - start)
         game = choices.bounded(moduli.size, size)
         increments = rotations.bounded(moduli, size, game)
         increments *= strides[game]

@@ -163,6 +163,17 @@ def test_bv_rejects_alpha_zero(capsys):
     assert "alpha" in err
 
 
+def test_alpha_bounds_name_the_qubit_count(capsys):
+    # grover may search for index 0; bv's hidden string must be nonzero
+    for argv, message in (
+        (["bv", "-n", "4", "--alpha", "16"], "alpha 16 exceeds the limit of 15 for 4 qubits"),
+        (["grover", "-n", "4", "--alpha", "16"], "alpha 16 exceeds the limit of 15 for 4 qubits"),
+        (["grover", "-n", "4", "--alpha", "-1"], "alpha must be >= 0, got -1"),
+        (["bv", "-n", "4", "--alpha", "0"], "alpha must be >= 1, got 0"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 QUBIT_BOUNDS = [
     ("1", "qubit count must be >= 2, got 1"),
     ("25", f"qubit count 25 exceeds the limit of {statevec.MAX_QUBITS} qubits"),
@@ -756,8 +767,13 @@ NINES = "9" * 4000
         (["grover", "-n", "3", "--seed", f"-{NINES}"], "seed"),
         (["grover", "-n", "3", "--letter-cap", f"-{NINES}"], "letter cap"),
         (["ring", "--moduli", f"3,{NINES}"], "modulus"),
+        (["grover", "-n", "3", "--alpha", NINES], "alpha"),
+        (["bv", "-n", "3", "--alpha", NINES], "alpha"),
     ],
-    ids=["trials", "samples", "steps", "qubits", "k", "seed", "letter-cap", "moduli"],
+    ids=[
+        "trials", "samples", "steps", "qubits", "k", "seed", "letter-cap", "moduli",
+        "grover-alpha", "bv-alpha",
+    ],
 )
 def test_out_of_range_values_are_named_by_their_digit_count(capsys, argv, what):
     code, out, err = run_cli(capsys, *argv)

@@ -317,6 +317,74 @@ def test_words_draw_what_integers_draws(seed, calls):
     assert np.array_equal(words.bounded(2**32, 3), rng.integers(0, 2**32, size=3))
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.one_of(st.integers(0, 300), st.integers(2**16 - 2, 2**16 + 2)),
+)
+@example(0, 2, 1, 7)  # a pending spare half, then an odd count
+@example(1, 4, 0, 8)
+@example(2, 3, 1, 0)
+@example(3, 6, 0, 2**16 + 1)  # the scan crosses a _WALK_BLOCK boundary
+def test_skip_leaves_the_stream_where_integers_leaves_it(seed, games, before, count):
+    # simulate_ring's rotation stream starts where the seed's choices end
+    rng = np.random.default_rng(seed)
+    words = ring._Words(seed)
+    assert np.array_equal(words.bounded(2**32, before), rng.integers(0, 2**32, size=before))
+    rng.integers(0, games, size=count)
+    words.skip(games, count)
+    assert np.array_equal(words.bounded(2**32, 5), rng.integers(0, 2**32, size=5))
+
+
+def _fixed_words(halves):
+    """A _Words whose raw uint64 words come, low half first, from halves."""
+    raw = np.array(halves, dtype="<u4").view("<u8")
+    drawn = 0
+
+    def random_raw(size):
+        nonlocal drawn
+        drawn += size
+        return raw[drawn - size : drawn]
+
+    words = ring._Words(0)
+    words._raw = random_raw
+    return words
+
+
+@pytest.mark.parametrize("games, rejected", [(3, 0), (5, 0), (6, 0), (6, 2**31), (6, 715827883)])
+@pytest.mark.parametrize("before", [0, 1])
+@pytest.mark.parametrize("count", [5, 6])
+def test_skip_passes_rejected_words_as_bounded_does(games, rejected, before, count):
+    assert rejected * games % 2**32 < (2**32 - games) % games
+    halves = np.arange(1, 41) * 97_654_321 % 2**32
+    halves[[1, 2, 6]] = rejected  # rejected words early, back to back, and after a spare half
+    want, got = _fixed_words(halves), _fixed_words(halves)
+    for words in (want, got):
+        words.bounded(2**32, before)
+    want.bounded(games, count)
+    got.skip(games, count)
+    assert np.array_equal(got.bounded(2**32, 9), want.bounded(2**32, 9))
+
+
+def test_simulate_ring_reads_each_random_word_once(monkeypatch):
+    # the rotation stream advances past the choices instead of drawing them,
+    # so each raw word feeds two choices or two rotations
+    drawn = []
+
+    class CountingPCG64(np.random.PCG64):
+        def random_raw(self, size=None, output=True):
+            drawn.append(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+    steps = 3 * ring._WALK_BLOCK + 5
+    ring.simulate_ring(ring.CombinedRingGame((3, 7)), steps, 1)
+    # half the choices plus half the rotations, a spare half each and rare redraws
+    assert steps <= sum(drawn) <= steps + 4
+
+
 def test_simulate_ring_memory_does_not_grow_with_steps():
     # one-shot draws peak near 41 MB at 10**6 steps; a 2**16-step block takes 3 MB
     game = ring.CombinedRingGame((3, 7))
