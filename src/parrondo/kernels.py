@@ -89,17 +89,6 @@ def ring_walk_wins(increments, modulus, width, start):
     return int(np.count_nonzero(positions < width)), int(positions[-1])
 
 
-# (first + t) & 1 for t < size is _PARITY[first & 1:][:size]; grown on demand
-_PARITY = np.zeros(0, dtype=np.uint8)
-
-
-def _parities(first, size):
-    global _PARITY
-    if _PARITY.size <= size:
-        _PARITY = (np.arange(2 * size + 2) & 1).astype(np.uint8)
-    return _PARITY[first & 1 : (first & 1) + size]
-
-
 def push_letters_until(bits, level, target):
     """Feed letters into the reduced length until it first equals target.
 
@@ -111,18 +100,23 @@ def push_letters_until(bits, level, target):
     The reduced length l is the fold of a walk Z on the integers: l = Z for
     Z >= 0 and l = ~Z = -Z-1 below.  In Z every letter is a +-1 step, the lazy
     reflection at l = 0 included (the step between Z = 0 and Z = -1).  Z
-    steps up exactly when the letter differs from Z's parity, the start
-    parity flipped once per letter, so Z - level is one int32 cumsum, within
-    +-bits.size.  l first equals target where Z first meets one of its two
-    barriers, target and ~target: a gambler's ruin (Feller vol. 1, XIV.3).
+    steps up exactly when the letter differs from Z's parity, which flips
+    once per letter: the step is 2*letter - 1 at an even Z and its negation
+    at an odd one.  So every other step of the kernel's own array is negated,
+    with no parity table, and Z - level is one int32 cumsum, within
+    +-bits.size.  bits is read, never written.  l first equals target where
+    Z first meets one of its two barriers, target and ~target: a gambler's
+    ruin (Feller vol. 1, XIV.3).
     """
     size = bits.size
     if size == 0:
         return 0, level, False
-    steps = bits.astype(np.uint8, copy=False) ^ _parities(level, size)
-    steps <<= 1
-    steps -= 1  # uint8 1 -> 1 and 0 -> 255, which is int8 -1
-    walk = np.cumsum(steps.view(np.int8), dtype=np.int32)  # Z - level
+    steps = bits.astype(np.int8)  # a copy, so bits is never written
+    steps *= 2  # numpy's int8 <<= is several times slower
+    steps -= 1
+    odd = steps[~level & 1 :: 2]  # the steps taken from an odd Z
+    np.negative(odd, out=odd)
+    walk = np.cumsum(steps, dtype=np.int32)  # Z - level
     if target >= 0:
         hits = walk == target - level
         hits |= walk == ~target - level

@@ -1,6 +1,9 @@
 """Numeric kernels against hand values and their loop references."""
 
+import importlib
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,17 @@ import oracles
 
 def test_backend_is_declared():
     assert kernels.BACKEND == "numpy"
+
+
+@pytest.mark.parametrize(
+    "name", ["cli", "kernels", "ring", "grover", "bv", "statevec", "reproduce"]
+)
+def test_no_module_holds_an_array(name):
+    # module-level arrays are state shared by every call; the kernels build
+    # what they need per call
+    module = importlib.import_module(f"parrondo.{name}")
+    arrays = [key for key, value in vars(module).items() if isinstance(value, np.ndarray)]
+    assert arrays == []
 
 
 def test_fwht_matches_hand_sums():
@@ -129,10 +143,12 @@ _WIDE = 2**31
     target=st.integers(-3, 30),
 )
 def test_push_letters_matches_loop_reference(bits, level, target):
-    bits = np.array(bits, dtype=np.uint8)
-    assert kernels.push_letters_until(bits, level, target) == oracles.push_letters_loops(
-        bits, level, target
-    )
+    want = oracles.push_letters_loops(np.array(bits, dtype=np.uint8), level, target)
+    # uint8 as grover draws them, int64 as reproduce passes them, int8 and bool
+    for dtype in (np.uint8, np.int64, np.int8, np.bool_):
+        letters = np.array(bits, dtype=dtype)
+        assert kernels.push_letters_until(letters, level, target) == want, dtype
+        assert np.array_equal(letters, np.array(bits, dtype=dtype)), dtype
 
 
 @settings(deadline=None, max_examples=100)
