@@ -144,7 +144,9 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
             )
         choices = flags[key].choices
         if choices is not None and value not in choices:
-            raise ValueError(f"{key} must be one of {tuple(choices)}, got {value!r}")
+            raise ValueError(
+                f"config file {path}: {key} must be one of {tuple(choices)}, got {value!r}"
+            )
     return config
 
 

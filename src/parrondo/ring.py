@@ -38,10 +38,10 @@ __all__ = [
 # per position (189 MB and 1.5-2.1 s at M = 255,255 on a 2-core Xeon, with
 # stdout to /dev/null), so the next wheel, 19, would need about 3 GB.  It
 # also bounds the walk, so simulate_ring refuses a larger ring: _Words matches
-# Generator.integers only for bounds up to 2**32, and each redraw re-queues
-# the rest of its block, so the walk stays linear in its steps only while
-# redraws are rare, as they are for moduli far below 2**32 (a modulus of
-# 2**31 + 1 redraws half its words).
+# Generator.integers only for bounds up to 2**32, and each redraw seeks and
+# re-reads the rest of its block, so the walk stays linear in its steps only
+# while redraws are rare, as they are for moduli far below 2**32 (a modulus
+# of 2**31 + 1 redraws half its words).
 MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
@@ -181,55 +181,53 @@ class _Words:
     """The uint32 words a seeded numpy Generator feeds its bounded int64 draws.
 
     PCG64's next_uint32 hands out each raw uint64 as its low half, then its
-    high half, and keeps the high half for the next call.  This stream does
-    the same from random_raw, spare word included, so bounded() gives the
-    values of np.random.default_rng(seed).integers call for call.
+    high half: word i of the seed's stream is half i % 2 of raw word i // 2.
+    at, the next word, is all the stream keeps between calls, and bounded()
+    gives the values of np.random.default_rng(seed).integers call for call.
     """
 
     def __init__(self, seed):
         self._bit_generator = np.random.PCG64(seed)
-        self._raw = self._bit_generator.random_raw
-        self._pending = np.empty(0, dtype=np.uint32)
+        self._seeded = self._bit_generator.state
+        self._raw_read = 0  # raw words handed out since the last seek
+        self.at = 0
 
-    def _take(self, count):
-        """The next count words, as uint32."""
-        pending = self._pending
-        if count <= pending.size:
-            self._pending = pending[count:]
-            return pending[:count]
-        need = count - pending.size
-        halves = self._raw(-(-need // 2)).astype("<u8", copy=False).view("<u4")
-        self._pending = halves[need:]
-        return np.concatenate((pending, halves[:need])) if pending.size else halves[:need]
+    def _read(self, count):
+        """Words at .. at + count - 1, as uint32; at does not move.
+
+        Unless at is even and the last read stopped there, the read seeks
+        first: the seeded state, then PCG64.advance(at // 2).
+        """
+        first, half = divmod(self.at, 2)
+        if self.at != 2 * self._raw_read:
+            self._bit_generator.state = self._seeded
+            self._bit_generator.advance(first)
+        self._raw_read = -(-(self.at + count) // 2)
+        raw = self._bit_generator.random_raw(self._raw_read - first)
+        return raw.astype("<u8", copy=False).view("<u4")[half : half + count]
 
     def skip(self, bound, count):
-        """Leave the stream where bounded(bound, count) leaves it, drawing no value.
+        """Move at where bounded(bound, count) moves it, drawing no value.
 
         A scalar bound of 1 takes no word.  Where Lemire's threshold
-        (2**32 - bound) % bound is 0, as for 2 and 4, no word is redrawn:
-        the pending words go first and PCG64.advance jumps over the rest.
-        Otherwise only the redrawn words decide how far the stream moves, so
-        the low halves w * bound mod 2**32 are scanned for them, _WALK_BLOCK
-        words at a time, and nothing is shifted or kept.
+        (2**32 - bound) % bound is 0, as for 2 and 4, no word is redrawn and
+        at moves by count.  Otherwise only the redrawn words decide how far
+        at moves, so the low halves w * bound mod 2**32 are scanned for them,
+        _WALK_BLOCK words at a time.
         """
         if bound == 1:
             return
         threshold = (2**32 - bound) % bound
         if threshold == 0:
-            used = min(count, self._pending.size)
-            self._pending = self._pending[used:]
-            need = count - used
-            self._bit_generator.advance(need // 2)
-            if need % 2:
-                self._take(1)
+            self.at += count
             return
         while count:
-            words = self._take(min(count, _WALK_BLOCK))
+            words = self._read(min(count, _WALK_BLOCK))
             low = np.multiply(words, np.uint32(bound))  # wraps mod 2**32
             accepted = words.size
             if low.min() < threshold:
                 accepted = int((low < threshold).argmax())
-                self._pending = np.concatenate((words[accepted + 1 :], self._pending))
+            self.at += accepted + (accepted < words.size)
             count -= accepted
 
     def bounded(self, bound, size, index=None):
@@ -239,18 +237,17 @@ class _Words:
         (w * b) >> 32, and w is redrawn while the low half of w * b is below
         (2**32 - b) % b.  Bounds lie in [1, 2**32].  A scalar bound of 1
         takes no word, as numpy returns 0 without drawing; per-element bounds
-        must exceed 1.  Redraws are rare for small bounds, so after one the
-        words past the rejected one go back and the rest is drawn anew.
+        must exceed 1.  Redraws are rare for small bounds, so after one at
+        passes the rejected word and the rest is read anew.
         """
         if index is None and bound == 1:
             return np.zeros(size, dtype=np.int64)
         bound = np.asarray(bound, dtype=np.uint64)
         threshold = (2**32 - bound) % bound
         worst = int(threshold.max())
-        draws = []
-        done = 0
+        draws, done = [], 0
         while True:
-            words = self._take(size - done)
+            words = self._read(size - done)
             if index is None:
                 product = np.multiply(words, bound, dtype=np.uint64)
             else:
@@ -262,7 +259,7 @@ class _Words:
                 rejected = low < (threshold if index is None else threshold[index[done:]])
                 if rejected.any():
                     accepted = int(rejected.argmax())
-                    self._pending = np.concatenate((words[accepted + 1 :], self._pending))
+            self.at += accepted + (accepted < product.size)
             product >>= 32
             draws.append(product[:accepted])
             done += accepted
@@ -277,11 +274,12 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     game choice, then every rotation, as np.random.default_rng(seed).integers
     would draw them.  The draws read PCG64's raw words and redraw by Lemire's
     rule (see _Words), so they match integers exactly.  The walk runs in
-    blocks of _WALK_BLOCK steps.  One stream skips the choices without
-    drawing them (_Words.skip), which leaves it at the first rotation; a
-    second one draws the choices from the seed.  The draws in blocks are those
-    of one long draw, so the block size does not change the result.  Rings of
-    more than MAX_POSITIONS positions are refused (see there).
+    blocks of _WALK_BLOCK steps, the choices read from word 0 of that stream
+    and the rotations from where _Words.skip leaves it, past the choices; a
+    rotation block that starts inside a raw word seeks once to re-draw it.
+    The draws in blocks are those of one long draw, so the block size does
+    not change the result.  Rings of more than MAX_POSITIONS positions are
+    refused (see there).
 
     The walk runs in coordinates rotated by q = M // 4, starting at q: the
     winning arc [-q, q] of Z_M becomes [0, 2q], so the kernel counts the

@@ -659,7 +659,7 @@ def test_config_values_must_match_flag_types(tmp_path, capsys, argv, config, mes
     code, out, err = run_cli(capsys, *argv, "--config", str(path))
     assert code == 2
     assert out == ""
-    assert message in err
+    assert err.startswith(f"error: config file {path}: {message}")
 
 
 # (argv without the flag, the flag's dest, the flag set to a non-default

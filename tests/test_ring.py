@@ -275,6 +275,19 @@ def test_streamed_walk_does_not_depend_on_the_block_size(monkeypatch, block):
                 ), (moduli, steps, seed)
 
 
+def _position(rng):
+    """Where a Generator stands: its PCG64 state and whether a spare half waits."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"]
+
+
+def _position_at(seed, at):
+    """Where numpy stands after at words: ceil(at / 2) raw words, a spare half if at is odd."""
+    bits = np.random.PCG64(seed)
+    bits.advance(-(-at // 2))
+    return bits.state["state"], at % 2
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     st.integers(0, 2**64 - 1),
@@ -313,6 +326,7 @@ def test_words_draw_what_integers_draws(seed, calls):
             got = words.bounded(bound, size)
         assert got.dtype == np.int64
         assert np.array_equal(got, want), (bound, size)
+        assert _position(rng) == _position_at(seed, words.at), (bound, size)
     # both streams stand at the same word, spare half included
     assert np.array_equal(words.bounded(2**32, 3), rng.integers(0, 2**32, size=3))
 
@@ -335,54 +349,84 @@ def test_skip_leaves_the_stream_where_integers_leaves_it(seed, games, before, co
     assert np.array_equal(words.bounded(2**32, before), rng.integers(0, 2**32, size=before))
     rng.integers(0, games, size=count)
     words.skip(games, count)
+    assert _position(rng) == _position_at(seed, words.at)
     assert np.array_equal(words.bounded(2**32, 5), rng.integers(0, 2**32, size=5))
 
 
-def _fixed_words(halves):
-    """A _Words whose raw uint64 words come, low half first, from halves."""
-    raw = np.array(halves, dtype="<u4").view("<u8")
-    drawn = 0
+class _FixedBits:
+    """A stand-in for PCG64 whose raw uint64 words come, low half first, from halves.
 
-    def random_raw(size):
-        nonlocal drawn
-        drawn += size
-        return raw[drawn - size : drawn]
+    Its state is a cursor into those words, so restoring the seeded state
+    rewinds it; read is the furthest raw word handed out.
+    """
 
-    words = ring._Words(0)
-    words._raw = random_raw
-    return words
+    def __init__(self, halves):
+        self.raw = np.array(halves, dtype="<u4").view("<u8")
+        self.state = 0
+        self.read = 0
+
+    def random_raw(self, size):
+        self.state += size
+        self.read = max(self.read, self.state)
+        return self.raw[self.state - size : self.state]
+
+    def advance(self, delta):
+        self.state += delta
+
+
+def _fixed_bits(monkeypatch, halves):
+    """Make every new PCG64 a _FixedBits over halves; returns those made."""
+    made = []
+
+    def make(seed):
+        made.append(_FixedBits(halves))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "PCG64", make)
+    return made
 
 
 @pytest.mark.parametrize("games, rejected", [(3, 0), (5, 0), (6, 0), (6, 2**31), (6, 715827883)])
 @pytest.mark.parametrize("before", [0, 1])
 @pytest.mark.parametrize("count", [5, 6])
-def test_skip_passes_rejected_words_as_bounded_does(games, rejected, before, count):
+def test_skip_passes_rejected_words_as_bounded_does(
+    monkeypatch, games, rejected, before, count
+):
     assert rejected * games % 2**32 < (2**32 - games) % games
     halves = np.arange(1, 41) * 97_654_321 % 2**32
     halves[[1, 2, 6]] = rejected  # rejected words early, back to back, and after a spare half
-    want, got = _fixed_words(halves), _fixed_words(halves)
+    fakes = _fixed_bits(monkeypatch, halves)
+    want, got = ring._Words(0), ring._Words(0)
     for words in (want, got):
         words.bounded(2**32, before)
     want.bounded(games, count)
     got.skip(games, count)
     assert np.array_equal(got.bounded(2**32, 9), want.bounded(2**32, 9))
+    # both streams read the fixed words, past raw word 3 that holds half 6
+    assert [fake.read > 3 for fake in fakes] == [True, True]
 
 
 def test_simulate_ring_reads_each_random_word_once(monkeypatch):
-    # the rotation stream advances past the choices instead of drawing them,
-    # so each raw word feeds two choices or two rotations
-    drawn = []
+    # the rotation stream seeks past the choices instead of drawing them, so
+    # each raw word feeds two choices or two rotations; a rotation read that
+    # starts inside a raw word seeks again and re-draws it, once a block
+    drawn, seeks = [], []
 
     class CountingPCG64(np.random.PCG64):
         def random_raw(self, size=None, output=True):
             drawn.append(size)
             return super().random_raw(size, output)
 
+        def advance(self, delta):
+            seeks.append(delta)
+            return super().advance(delta)
+
     monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
     steps = 3 * ring._WALK_BLOCK + 5
     ring.simulate_ring(ring.CombinedRingGame((3, 7)), steps, 1)
     # half the choices plus half the rotations, a spare half each and rare redraws
     assert steps <= sum(drawn) <= steps + 4
+    assert len(seeks) <= -(-steps // ring._WALK_BLOCK) + 1
 
 
 def test_simulate_ring_memory_does_not_grow_with_steps():
@@ -439,7 +483,7 @@ def test_simulate_ring_rejects_bad_steps():
 
 def test_simulate_ring_refuses_rings_past_the_walk_limit():
     # a modulus of 2**31 + 1 redraws about half its words, and every redraw
-    # re-queues the rest of its block, so the walk would grow quadratically
+    # seeks and re-reads the rest of its block, so the walk would grow quadratically
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"exceeds the limit of {ring.MAX_POSITIONS} positions"):
         ring.simulate_ring(ring.CombinedRingGame((2**31 + 1,)), 2_000, seed=1)
