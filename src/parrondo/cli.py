@@ -371,9 +371,10 @@ def cmd_grover(args) -> Output:
     alpha = _check_range("alpha", args.alpha, 0, (1 << n) - 1, f"for {n} qubits")
     seed, letter_cap = args.seed, args.letter_cap
     trials = _check_range("trials", args.trials, 1, grover.MAX_TRIALS, "plays")
-    if letter_cap is not None:
-        _check_range("letter cap", letter_cap, 1)
     strategy_name, k = _resolve_strategy(args.strategy, n)
+    # the plays come first, so a bad letter cap fails before any Grover round
+    stats = grover.waiting_time_stats(k, trials, seed, letter_cap)
+    expected = grover.expected_stopping_index(k)
     sweep_top = grover.canonical_k(n) + 2
     # one pass of rounds gives this k's success and every sweep row
     successes = grover.sweep_success(n, alpha, max(k, sweep_top) if args.sweep else k)
@@ -387,9 +388,6 @@ def cmd_grover(args) -> Output:
             "the ceiling rule undershoots 1/2 at this qubit count; "
             "try --strategy best"
         )
-
-    stats = grover.waiting_time_stats(k, trials, seed, letter_cap)
-    expected = grover.expected_stopping_index(k)
 
     report = {
         "schema": JSON_SCHEMA,

@@ -229,15 +229,20 @@ def waiting_time_stats(
     """Distribution of the stopping index over independent seeded plays.
 
     Plays that hit the letter cap, default_letter_cap(target_k) unless
-    given, are counted in cap_exceeded and excluded from the moments.  The
-    state vector never enters: waiting times depend only on the letter
-    stream.
+    given, are counted in cap_exceeded and excluded from the moments.  A
+    given cap must be >= 1.  The state vector never enters: waiting times
+    depend only on the letter stream.
     """
     level = _level(target_k)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if letter_cap is None:
         letter_cap = default_letter_cap(target_k)
+    elif letter_cap < 1:
+        # named by its digit count past 20 digits, like the CLI's bounds
+        digits = len(str(-letter_cap))
+        shown = letter_cap if digits <= 20 else f"a value of {digits} digits"
+        raise ValueError(f"letter cap must be >= 1, got {shown}")
     times = []
     cap_exceeded = 0
     for i in range(trials):

@@ -2,6 +2,9 @@
 
 Random draws happen outside the kernels: each one maps pre-drawn inputs to a
 deterministic output, so seeded experiments reproduce bit for bit.
+
+The letter walk steps a uint64 word (8 letters) at a time on blocks of at
+least _WORD_WALK one-byte letters, and one letter at a time on the rest.
 """
 
 from __future__ import annotations
@@ -89,6 +92,12 @@ def ring_walk_wins(increments, modulus, width, start):
     return int(np.count_nonzero(positions < width)), int(positions[-1])
 
 
+# On a 2-core Xeon the two letter walks cost the same at about 1,500 letters
+# of grover's blocks; the word walk is about 12% faster at 2,048 letters and
+# twice as fast at 2^14.
+_WORD_WALK = 2048
+
+
 def push_letters_until(bits, level, target):
     """Feed letters into the reduced length until it first equals target.
 
@@ -101,16 +110,36 @@ def push_letters_until(bits, level, target):
     Z >= 0 and l = ~Z = -Z-1 below.  In Z every letter is a +-1 step, the lazy
     reflection at l = 0 included (the step between Z = 0 and Z = -1).  Z
     steps up exactly when the letter differs from Z's parity, which flips
-    once per letter: the step is 2*letter - 1 at an even Z and its negation
-    at an odd one.  So every other step of the kernel's own array is negated,
-    with no parity table, and Z - level is one int32 cumsum, within
-    +-bits.size.  bits is read, never written.  l first equals target where
-    Z first meets one of its two barriers, target and ~target: a gambler's
-    ruin (Feller vol. 1, XIV.3).
+    once per letter.  l first equals target where Z first meets one of its
+    two barriers, target and ~target: a gambler's ruin (Feller vol. 1,
+    XIV.3).  bits is read, never written.
+
+    Two walks give the same answer.  A C-contiguous block of one-byte
+    letters, at least _WORD_WALK (2,048) of them and a multiple of 8, takes
+    the word walk: one popcount and one int32 cumsum entry per 8 letters, and
+    letter-level work only next to a barrier.  Every other block takes the
+    per-letter walk, one int32 cumsum entry per letter.
     """
     size = bits.size
     if size == 0:
         return 0, level, False
+    if size >= _WORD_WALK and size % 8 == 0 and bits.itemsize == 1 and bits.flags.c_contiguous:
+        used, moved = _word_walk(bits, level, target)
+    else:
+        used, moved = _letter_walk(bits, level, target)
+    if used:
+        return used, target, True
+    z = level + moved
+    return size, z if z >= 0 else ~z, False
+
+
+def _letter_walk(bits, level, target):
+    """(letters up to the first hit, or 0; Z - level after the block), letter by letter.
+
+    A letter's step is 2*letter - 1 at an even Z and its negation at an odd
+    one, so every other step of the kernel's own array is negated, with no
+    parity table, and Z - level is one int32 cumsum, within +-bits.size.
+    """
     steps = bits.astype(np.int8)  # a copy, so bits is never written
     steps *= 2  # numpy's int8 <<= is several times slower
     steps -= 1
@@ -122,6 +151,51 @@ def push_letters_until(bits, level, target):
         hits |= walk == ~target - level
         t = int(hits.argmax())
         if hits[t]:
-            return t + 1, target, True
-    z = level + int(walk[-1])
-    return size, z if z >= 0 else ~z, False
+            return t + 1, 0
+    return 0, int(walk[-1])
+
+
+def _word_walk(bits, level, target):
+    """(letters up to the first hit, or 0; Z - level after the block), word by word.
+
+    Every word starts at an even letter index, so byte t of the XOR pattern
+    is the parity of Z before letter t of every word, and the set bits of
+    word ^ pattern are the up-steps.  One popcount per word gives its net
+    move, 2*ups - 8, and one int32 cumsum over size/8 entries gives Z - level
+    before each word.  A word moves Z by at most 8, so only words that start
+    within 8 of a barrier are walked letter by letter, in order, until the
+    first hit.
+    """
+    words = bits.view("<u8") ^ np.uint64(0x0001000100010001 << 8 * (~level & 1))
+    ups = np.empty(words.size + 1, dtype=np.uint8)
+    ups[0] = 4  # no move before the first word
+    np.bitwise_count(words, out=ups[1:])
+    moves = ups.view(np.int8)
+    moves *= 2
+    moves -= 8
+    starts = np.cumsum(moves, dtype=np.int32)  # Z - level before each word, then after all
+    if target >= 0:
+        # barriers out of the block's reach are clamped, so int32 holds them
+        reach = bits.size + 8
+        up, down = min(target - level, reach), max(~target - level, -reach)
+        # A word that starts more than 8 from every barrier it can meet first
+        # cannot hit.  Starting below up, Z stays between the barriers until
+        # its first hit; otherwise down lies below up, and Z must come within
+        # 8 of up before it can reach either.
+        before = starts[:-1]
+        if up > 0:
+            near = before >= up - 8
+            near |= before <= down + 8
+        else:
+            near = before <= up + 8
+        near = np.flatnonzero(near)
+        # 16 near words at a time: grover's blocks that hit walk about 9
+        for first in range(0, near.size, 16):
+            chunk = near[first : first + 16]
+            zs, steps = starts[chunk].tolist(), words[chunk].tolist()
+            for j, z, word in zip(chunk.tolist(), zs, steps):
+                for t, step_up in enumerate(word.to_bytes(8, "little")):
+                    z += 2 * step_up - 1
+                    if z == up or z == down:
+                        return 8 * j + t + 1, 0
+    return 0, int(starts[-1])

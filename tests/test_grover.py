@@ -288,3 +288,6 @@ def test_waiting_time_stats_validation():
         grover.waiting_time_stats(0, trials=10, seed=1)
     with pytest.raises(ValueError):
         grover.waiting_time_stats(1, trials=0, seed=1)
+    for cap, shown in ((0, "0"), (-5, "-5"), (-(10**25), "a value of 26 digits")):
+        with pytest.raises(ValueError, match=f"^letter cap must be >= 1, got {shown}$"):
+            grover.waiting_time_stats(4, trials=10, seed=1, letter_cap=cap)

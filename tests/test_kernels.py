@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parrondo import kernels
+from parrondo import grover, kernels
 
 import oracles
 
@@ -186,3 +186,65 @@ def test_push_letters_long_block_matches_loop_reference():
         assert kernels.push_letters_until(bits, level, target) == oracles.push_letters_loops(
             bits, level, target
         )
+
+
+_WORD = kernels._WORD_WALK
+
+
+@settings(deadline=None, max_examples=120)
+# a straight run from a word start 8 letters from the target: only a window
+# of 8 sees the hit in that word.  The sink of 16 letters takes Z to -16, 8
+# above the lower barrier ~23.
+@example(size=_WORD, level=0, sink=0, word=0, run=8, offset=8, seed=0, dtype=np.uint8)
+@example(size=_WORD, level=1, sink=0, word=0, run=8, offset=8, seed=1, dtype=np.int8)
+@example(size=1 << 14, level=5, sink=0, word=300, run=8, offset=8, seed=2, dtype=np.bool_)
+@example(size=_WORD + 8, level=20, sink=0, word=0, run=8, offset=-8, seed=3, dtype=np.uint8)
+@example(size=_WORD, level=0, sink=16, word=2, run=8, offset=8, seed=4, dtype=np.uint8)
+@example(size=_WORD, level=_WIDE - 3, sink=0, word=0, run=9, offset=8, seed=5, dtype=np.uint8)
+@example(size=_WORD + 3, level=0, sink=0, word=0, run=8, offset=8, seed=6, dtype=np.uint8)
+@given(
+    size=st.sampled_from([_WORD, _WORD + 8, 1 << 14, _WORD + 3]),
+    level=st.one_of(st.integers(0, 40), st.integers(_WIDE - 40, _WIDE + 40)),
+    sink=st.integers(0, 40),
+    word=st.one_of(st.just(0), st.integers(0, (1 << 11) - 1)),
+    run=st.integers(0, 12),
+    offset=st.integers(-9, 9),
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.uint8, np.int8, np.bool_]),
+)
+def test_word_walk_matches_loop_reference(size, level, sink, word, run, offset, seed, dtype):
+    # sink letters that step Z straight down, random letters, then a straight
+    # run of the reduced length from a word start toward a target offset
+    # letters away; _WORD + 3 takes the letter walk
+    bits = np.random.default_rng(seed).integers(0, 2, size, dtype=np.uint8)
+    bits[:sink] = (level + np.arange(sink)) & 1  # the letter equal to Z's parity
+    start = min(8 * word, size - run)
+    _, at, _ = oracles.push_letters_loops(bits[:start], level, -1)
+    for t in range(run):
+        # A (1) raises an even length and B (0) an odd one; the other letter lowers it
+        bits[start + t] = (at + t + (offset >= 0)) & 1
+    target = at + offset
+    want = oracles.push_letters_loops(bits, level, target)
+    letters = bits.astype(dtype)
+    assert kernels.push_letters_until(letters, level, target) == want
+    assert np.array_equal(letters, bits.astype(dtype))
+
+
+def test_grover_blocks_take_the_word_walk_and_first_blocks_do_not(monkeypatch):
+    # grover's full blocks are the ones worth the word walk; a k = 4 play's
+    # first block (72 letters) stays letter by letter
+    def refuse(*args):
+        raise AssertionError("the other walk ran")
+
+    raw = np.random.default_rng(5).bit_generator.random_raw
+    block = grover._letters(raw, grover._STREAM_BLOCK)
+    first = grover._letters(raw, 72)
+    assert block.flags.c_contiguous and block.dtype == np.uint8
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_letter_walk", refuse)
+        got = kernels.push_letters_until(block, 0, 144)
+    assert got == oracles.push_letters_loops(block, 0, 144)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_word_walk", refuse)
+        got = kernels.push_letters_until(first, 0, 8)
+    assert got == oracles.push_letters_loops(first, 0, 8)
