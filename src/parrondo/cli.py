@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bv, grover, reproduce, ring, statevec
+from . import bv, grover, kernels, reproduce, ring, statevec
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -252,13 +252,14 @@ def cmd_bv(args) -> Output:
         exhaustive = bv.independent_exhaustive_mean(n, alpha)
 
     # keep each trial's count and success, and only trial 0's realization
-    # (for --samples); child i of the seed is made when trial i runs, the
-    # same stream as SeedSequence(seed).spawn(trials)[i]
+    # (for --samples); trial i draws child i of the seed,
+    # SeedSequence(seed).spawn(trials + 1)[i], from one Generator re-seated
+    # as the trial starts, and --samples draws child trials
+    children = kernels.seed_children(seed)
     detail = []
     first = None
-    for i in range(trials):
-        child = np.random.SeedSequence(seed, spawn_key=(i,))
-        result = bv.run_game(n, alpha, mode, child)
+    for i, rng in zip(range(trials), children):
+        result = bv.run_game(n, alpha, mode, rng)
         if first is None:
             first = result.realization
         count = result.realization.unflipped.size
@@ -325,8 +326,7 @@ def cmd_bv(args) -> Output:
     if samples > 0:
         state = bv.noisy_oracle(first)
         state = statevec.hadamard_all(state)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trials,)))
-        outcomes = statevec.sample_basis(state, samples, rng)
+        outcomes = statevec.sample_basis(state, samples, next(children))
         hits = int(np.count_nonzero(outcomes == alpha))
         report["sampled_measurements"] = {
             "shots": samples,

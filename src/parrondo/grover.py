@@ -24,9 +24,9 @@ from . import kernels, statevec
 _STREAM_BLOCK = 1 << 14
 
 # Most plays the CLI accepts per waiting-time estimate.  waiting_time_stats
-# makes each play's SeedSequence child as the play runs and keeps every
-# stopping index: about 35 B per play at peak (43 MB peak RSS at 2e5 plays,
-# 36 MB at 10^3).
+# re-seats one Generator at each play's child of the seed as the play runs
+# (kernels.seed_children) and keeps every stopping index: about 35 B per
+# play at peak (43 MB peak RSS at 2e5 plays, 36 MB at 10^3).
 MAX_TRIALS = 10**6
 
 # Most Grover rounds the CLI runs for one command.  sweep_success keeps one
@@ -152,10 +152,14 @@ def _stopping_index(
 ) -> int | None:
     """Letters consumed until the reduced length first equals target_length.
 
-    Letters are drawn in blocks sized to the play: the first covers the exact
-    mean hitting time target_length * (target_length + 1), at least 64
-    letters, and each later block doubles up to _STREAM_BLOCK.  They come
-    from rng's raw words (see _letters) in blocks of a multiple of 8, one
+    Letters are drawn in blocks sized to the play: the first is four times
+    the exact mean hitting time, 4 * target_length * (target_length + 1)
+    letters and at least 64, and each later block doubles up to
+    _STREAM_BLOCK.  A kernel call costs about as much as walking 2,000
+    letters one by one, so the first block is sized to end nearly every
+    play, not only the average one: 1.01 kernel calls per play at k = 4 and
+    6, against 1.40 with a first block of the mean.  The letters come from
+    rng's raw words (see _letters) in blocks of a multiple of 8, one
     word per 8 letters, so the blocks give exactly the letters of one long
     rng.integers(0, 2, dtype=np.uint8) draw and seeded plays do not depend on
     the block sizes.  Only the block cut short by letter_cap can end inside
@@ -167,7 +171,7 @@ def _stopping_index(
     raw = rng.bit_generator.random_raw
     consumed = 0
     level = 0
-    first = max(64, target_length * (target_length + 1))
+    first = max(64, 4 * target_length * (target_length + 1))
     block = min(_STREAM_BLOCK, -(-first // 8) * 8)
     while consumed < letter_cap:
         size = min(block, letter_cap - consumed)
@@ -245,10 +249,9 @@ def waiting_time_stats(
         raise ValueError(f"letter cap must be >= 1, got {shown}")
     times = []
     cap_exceeded = 0
-    for i in range(trials):
-        # child i of the seed, made when play i runs: the same stream as
-        # SeedSequence(seed).spawn(trials)[i]
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+    # play i draws child i of the seed, SeedSequence(seed).spawn(trials)[i]:
+    # one Generator re-seated as each play starts
+    for rng in itertools.islice(kernels.seed_children(seed), trials):
         index = _stopping_index(rng, level, letter_cap)
         if index is None:
             cap_exceeded += 1

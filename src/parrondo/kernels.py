@@ -2,12 +2,15 @@
 
 Random draws happen outside the kernels: each one maps pre-drawn inputs to a
 deterministic output, so seeded experiments reproduce bit for bit.
+seed_children hands out the seeded streams those draws come from.
 
 The letter walk steps a uint64 word (8 letters) at a time on blocks of at
 least _WORD_WALK one-byte letters, and one letter at a time on the rest.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -18,6 +21,7 @@ __all__ = [
     "parity_flip_inplace",
     "ring_walk_wins",
     "push_letters_until",
+    "seed_children",
 ]
 
 BACKEND = "numpy"
@@ -199,3 +203,92 @@ def _word_walk(bits, level, target):
                     if z == up or z == down:
                         return 8 * j + t + 1, 0
     return 0, int(starts[-1])
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, in uint32 arithmetic) and
+# PCG64's LCG multiplier; numpy's stream policy (NEP 19) keeps both fixed
+_MASK32 = 0xFFFFFFFF
+_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875  # hashmix, as mixing entropy in
+_OUT_INIT, _OUT_MULT = 0x8B51F9DD, 0x58F38DED  # the same, as generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def seed_children(seed):
+    """Yield one Generator, seated in turn at child 0, 1, 2, ... of seed.
+
+    Child i draws the stream of default_rng(SeedSequence(seed,
+    spawn_key=(i,))), which is SeedSequence(seed).spawn(n)[i]'s.  The same
+    Generator comes back each time, re-seated, so a caller is done with
+    child i before it asks for the next.  Child 0 is built by numpy: a
+    one-play caller pays what numpy's constructor costs, and a bad seed
+    raises numpy's own error before any play.  Each later child is re-seated
+    from SeedSequence(seed)'s pool, which numpy hashes once (_child_state).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    yield rng
+    pool, hash_const = _seed_pool(seed)
+    bit_generator = rng.bit_generator
+    child = 1
+    while True:
+        bit_generator.state = _child_state(pool, hash_const, child)
+        yield rng
+        child += 1
+
+
+def _seed_pool(seed):
+    """SeedSequence(seed)'s pool as ints, and the hashmix constant after it.
+
+    A spawned SeedSequence pads the seed's words to the pool size and mixes
+    the spawn words in last, so its pool before them is SeedSequence(seed)'s.
+    By then hashmix has run 16 times, 4 to fill the pool and 12 to cross-mix
+    it, plus 4 times per seed word past the fourth.  seed is a non-negative
+    integer, which numpy splits into 32-bit words, at least one.
+    """
+    words = max(1, -(-operator.index(seed).bit_length() // 32))
+    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
+    calls = 16 + 4 * max(0, words - 4)
+    return pool, _MIX_INIT * pow(_MIX_MULT, calls, 1 << 32) & _MASK32
+
+
+def _child_state(pool, hash_const, child):
+    """PCG64 state of child number child >= 0 of a seed, from the seed's pool.
+
+    pool and hash_const are the seed's, from _seed_pool.  child's 32-bit
+    words, low first, are mixed into the pool as SeedSequence.mix_entropy
+    does; the pool is hashed out as generate_state(4, np.uint64) does; and
+    PCG64 is seeded from the four words: state s from the first two, stream
+    q from the last two, then from 0 one LCG step, s added, and one more,
+    with increment 2q + 1.
+    """
+    mixer = list(pool)
+    while True:
+        word = child & _MASK32
+        for dst in range(4):
+            value = word ^ hash_const
+            hash_const = hash_const * _MIX_MULT & _MASK32
+            value = value * hash_const & _MASK32
+            value ^= value >> 16
+            mixed = (_MIX_L * mixer[dst] - _MIX_R * value) & _MASK32
+            mixer[dst] = mixed ^ mixed >> 16
+        child >>= 32
+        if not child:
+            break
+    out = []
+    hash_const = _OUT_INIT
+    for k in range(8):
+        value = mixer[k & 3] ^ hash_const
+        hash_const = hash_const * _OUT_MULT & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    # uint64 word j is uint32 words 2j (low) and 2j + 1
+    w0, w1, w2, w3 = (out[j] | out[j + 1] << 32 for j in range(0, 8, 2))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

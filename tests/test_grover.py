@@ -283,6 +283,36 @@ def test_waiting_time_stats_plays_the_seed_children_in_order():
     )
 
 
+def _kernel_block_sizes(monkeypatch, target_k, trials, seed):
+    sizes = []
+    push = kernels.push_letters_until
+
+    def counted(bits, level, target):
+        sizes.append(bits.size)
+        return push(bits, level, target)
+
+    monkeypatch.setattr(kernels, "push_letters_until", counted)
+    grover.waiting_time_stats(target_k, trials, seed)
+    return sizes
+
+
+def test_short_plays_end_in_their_first_block(monkeypatch):
+    # a kernel call costs about 2,000 letters of the per-letter walk, so the
+    # first block is sized to finish nearly every play: 1.40 calls per play
+    # at k = 4 when it covered only the mean
+    sizes = _kernel_block_sizes(monkeypatch, 4, 1000, seed=1)
+    assert len(sizes) <= 1.05 * 1000
+
+
+@pytest.mark.parametrize(
+    "target_k, size",
+    [(1, 64), (4, 4 * 8 * 9), (16, 4 * 32 * 33), (72, grover._STREAM_BLOCK)],
+)
+def test_first_block_is_four_mean_hitting_times(monkeypatch, target_k, size):
+    # at least 64 letters, a multiple of 8 and at most _STREAM_BLOCK
+    assert _kernel_block_sizes(monkeypatch, target_k, 1, seed=2)[0] == size
+
+
 def test_waiting_time_stats_validation():
     with pytest.raises(ValueError):
         grover.waiting_time_stats(0, trials=10, seed=1)

@@ -1,6 +1,7 @@
 """Numeric kernels against hand values and their loop references."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -232,13 +233,13 @@ def test_word_walk_matches_loop_reference(size, level, sink, word, run, offset, 
 
 def test_grover_blocks_take_the_word_walk_and_first_blocks_do_not(monkeypatch):
     # grover's full blocks are the ones worth the word walk; a k = 4 play's
-    # first block (72 letters) stays letter by letter
+    # first block (288 letters) stays letter by letter
     def refuse(*args):
         raise AssertionError("the other walk ran")
 
     raw = np.random.default_rng(5).bit_generator.random_raw
     block = grover._letters(raw, grover._STREAM_BLOCK)
-    first = grover._letters(raw, 72)
+    first = grover._letters(raw, 288)
     assert block.flags.c_contiguous and block.dtype == np.uint8
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "_letter_walk", refuse)
@@ -248,3 +249,61 @@ def test_grover_blocks_take_the_word_walk_and_first_blocks_do_not(monkeypatch):
         patch.setattr(kernels, "_word_walk", refuse)
         got = kernels.push_letters_until(first, 0, 8)
     assert got == oracles.push_letters_loops(first, 0, 8)
+
+
+def _numpy_child(seed, child):
+    return np.random.SeedSequence(seed, spawn_key=(child,))
+
+
+@settings(deadline=None, max_examples=300)
+@example(seed=0, child=0)
+@example(seed=2**32 - 1, child=1)  # one seed word
+@example(seed=2**128 - 1, child=1)  # four seed words: the pool's size
+@example(seed=2**128, child=1)  # five: one hashed in after the cross-mix
+@example(seed=2**200, child=2**32 - 1)
+@example(seed=5, child=2**32)  # a two-word spawn key
+@example(seed=2**128, child=2**70)  # a three-word spawn key
+@given(seed=st.integers(0, 2**200), child=st.integers(0, 2**70))
+def test_child_state_is_numpys_spawned_pcg64(seed, child):
+    want = np.random.PCG64(_numpy_child(seed, child)).state
+    assert kernels._child_state(*kernels._seed_pool(seed), child) == want
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 424242, 2**128 - 1, 2**128, 2**200 + 1, np.int64(2**62 + 9), np.uint64(2**64 - 1)],
+)
+def test_seed_children_draw_numpys_child_streams(seed):
+    # each child is checked by its draws, a half-used uint32 word left
+    # behind each time, so nothing of one child's state leaks into the next
+    children = kernels.seed_children(seed)
+    for child, rng in zip(range(6), children):
+        native = np.random.default_rng(_numpy_child(seed, child))
+        assert rng.bit_generator.state == native.bit_generator.state
+        want = native.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32), want)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "7"])
+def test_seed_children_raise_numpys_error_for_a_bad_seed(seed):
+    with pytest.raises(Exception) as native:
+        np.random.SeedSequence(seed, spawn_key=(0,))
+    with pytest.raises(native.type, match=f"^{re.escape(str(native.value))}$"):
+        next(kernels.seed_children(seed))
+    with pytest.raises(native.type):
+        grover.waiting_time_stats(2, trials=3, seed=seed)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("seed", [3, np.int64(3), 2**128])
+def test_waiting_time_stats_plays_numpys_children(seed, trials):
+    times = [
+        grover._stopping_index(np.random.default_rng(_numpy_child(seed, i)), 4, 10**6)
+        for i in range(trials)
+    ]
+    stats = grover.waiting_time_stats(2, trials=trials, seed=seed)
+    assert (stats.mean, stats.variance, stats.max) == (
+        float(np.mean(times)),
+        float(np.var(times)),
+        max(times),
+    )
