@@ -155,8 +155,11 @@ def noisy_oracle(realization: NoiseRealization) -> np.ndarray:
     return state
 
 
-def run_game(n: int, alpha: int, mode: str, seed: int) -> BvResult:
+def run_game(n: int, alpha: int, mode: str, seed: int | np.random.Generator) -> BvResult:
     """One seeded play of H..O..H from |0...0>, success read off the amplitudes.
+
+    seed is whatever np.random.default_rng takes: a seed, or a Generator,
+    which the play draws from and advances.
 
     The first Hadamard layer maps |0...0> to the uniform state, which is
     built directly; of the last layer only the amplitude on alpha is read

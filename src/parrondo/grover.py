@@ -152,21 +152,21 @@ def _stopping_index(
 ) -> int | None:
     """Letters consumed until the reduced length first equals target_length.
 
-    Letters are drawn in blocks sized to the play: the first is four times
-    the exact mean hitting time, 4 * target_length * (target_length + 1)
-    letters and at least 64, and each later block doubles up to
-    _STREAM_BLOCK.  A kernel call costs about as much as walking 2,000
-    letters one by one, so the first block is sized to end nearly every
-    play, not only the average one: 1.01 kernel calls per play at k = 4 and
-    6, against 1.40 with a first block of the mean.  The letters come from
-    rng's raw words (see _letters) in blocks of a multiple of 8, one
-    word per 8 letters, so the blocks give exactly the letters of one long
-    rng.integers(0, 2, dtype=np.uint8) draw and seeded plays do not depend on
-    the block sizes.  Only the block cut short by letter_cap can end inside
-    a word, and no draw follows it.  The walk reaches every level with
-    probability one, so letter_cap only bounds a pathological stream: a play
-    that spends letter_cap letters without stopping returns None instead of
-    hanging.
+    Letters are drawn in blocks of one size per play, four times the exact
+    mean hitting time, 4 * target_length * (target_length + 1) letters,
+    rounded up to a multiple of 8, at least 64 and at most _STREAM_BLOCK.  A
+    kernel call costs about as much as walking 2,000 letters one by one, so
+    the first block is sized to end nearly every play, not only the average
+    one: 1.01 kernel calls per play at k = 4 and 6, against 1.40 with a
+    first block of the mean.  The few plays that outrun it draw later blocks
+    of the same size.  The letters come from rng's raw words (see _letters),
+    one word per 8 letters, so the blocks give exactly the letters of one
+    long rng.integers(0, 2, dtype=np.uint8) draw and seeded plays do not
+    depend on the block sizes.  Only the block cut short by letter_cap can
+    end inside a word, and no draw follows it.  The walk reaches every level
+    with probability one, so letter_cap only bounds a pathological stream: a
+    play that spends letter_cap letters without stopping returns None
+    instead of hanging.
     """
     raw = rng.bit_generator.random_raw
     consumed = 0
@@ -180,7 +180,6 @@ def _stopping_index(
         consumed += used
         if hit:
             return consumed
-        block = min(2 * block, _STREAM_BLOCK)
     return None
 
 

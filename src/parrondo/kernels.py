@@ -96,10 +96,11 @@ def ring_walk_wins(increments, modulus, width, start):
     return int(np.count_nonzero(positions < width)), int(positions[-1])
 
 
-# On a 2-core Xeon the two letter walks cost the same at about 1,500 letters
-# of grover's blocks; the word walk is about 12% faster at 2,048 letters and
-# twice as fast at 2^14.
-_WORD_WALK = 2048
+# On a 2-core Xeon the two letter walks cost the same at about 6,000 letters
+# of grover's first blocks, about 99% of which hit.  Per-letter against word
+# walk, per block: 24 vs 35 us at 2,400 letters (k = 12), 31 vs 37 us at
+# 4,224 (k = 16), 33 vs 33 us at 6,560 (k = 20) and 70 vs 45 us at 2^14.
+_WORD_WALK = 6144
 
 
 def push_letters_until(bits, level, target):
@@ -119,7 +120,7 @@ def push_letters_until(bits, level, target):
     XIV.3).  bits is read, never written.
 
     Two walks give the same answer.  A C-contiguous block of one-byte
-    letters, at least _WORD_WALK (2,048) of them and a multiple of 8, takes
+    letters, at least _WORD_WALK (6,144) of them and a multiple of 8, takes
     the word walk: one popcount and one int32 cumsum entry per 8 letters, and
     letter-level work only next to a barrier.  Every other block takes the
     per-letter walk, one int32 cumsum entry per letter.
@@ -166,9 +167,9 @@ def _word_walk(bits, level, target):
     is the parity of Z before letter t of every word, and the set bits of
     word ^ pattern are the up-steps.  One popcount per word gives its net
     move, 2*ups - 8, and one int32 cumsum over size/8 entries gives Z - level
-    before each word.  A word moves Z by at most 8, so only words that start
-    within 8 of a barrier are walked letter by letter, in order, until the
-    first hit.
+    before each word.  A word moves Z by at most 8, so a word that starts
+    more than 8 from both barriers cannot hit; the other words are walked
+    letter by letter, in order, until the first hit.
     """
     words = bits.view("<u8") ^ np.uint64(0x0001000100010001 << 8 * (~level & 1))
     ups = np.empty(words.size + 1, dtype=np.uint8)
@@ -179,19 +180,9 @@ def _word_walk(bits, level, target):
     moves -= 8
     starts = np.cumsum(moves, dtype=np.int32)  # Z - level before each word, then after all
     if target >= 0:
-        # barriers out of the block's reach are clamped, so int32 holds them
-        reach = bits.size + 8
-        up, down = min(target - level, reach), max(~target - level, -reach)
-        # A word that starts more than 8 from every barrier it can meet first
-        # cannot hit.  Starting below up, Z stays between the barriers until
-        # its first hit; otherwise down lies below up, and Z must come within
-        # 8 of up before it can reach either.
-        before = starts[:-1]
-        if up > 0:
-            near = before >= up - 8
-            near |= before <= down + 8
-        else:
-            near = before <= up + 8
+        up, down = target - level, ~target - level
+        near = starts[:-1] >= up - 8
+        near |= starts[:-1] <= down + 8
         near = np.flatnonzero(near)
         # 16 near words at a time: grover's blocks that hit walk about 9
         for first in range(0, near.size, 16):

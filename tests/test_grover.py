@@ -175,7 +175,8 @@ def _stopping_index_fixed_blocks(rng, target_length, letter_cap):
 
 def test_stopping_index_matches_fixed_block_reference():
     # targets 2 and 10 start below 64 and off a multiple of 4; 40 and 100
-    # double their draws, 100 up to the block ceiling; caps cut draws short
+    # repeat their first block's size, 100 at the block ceiling; caps cut
+    # draws short
     for target in (2, 10, 40, 100):
         for cap in (1, 3, 7, 50, 111, 113, 1001, 20_001, 10**7):
             for seed in range(12):
@@ -302,6 +303,8 @@ def test_short_plays_end_in_their_first_block(monkeypatch):
     # at k = 4 when it covered only the mean
     sizes = _kernel_block_sizes(monkeypatch, 4, 1000, seed=1)
     assert len(sizes) <= 1.05 * 1000
+    # and the few plays that outrun it draw later blocks of the same size
+    assert set(sizes) == {288}
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,11 @@ def test_word_walk_matches_loop_reference(size, level, sink, word, run, offset, 
     assert np.array_equal(letters, bits.astype(dtype))
 
 
+# (level, target): a grover play, then barriers out of the block's reach,
+# beyond int32 and from a level at or above the target
+_FULL_BLOCK_WALKS = [(0, 144), (0, 2**40), (2**40 + 5, 3), (_WIDE - 4, _WIDE + 20_000), (50, 3)]
+
+
 def test_grover_blocks_take_the_word_walk_and_first_blocks_do_not(monkeypatch):
     # grover's full blocks are the ones worth the word walk; a k = 4 play's
     # first block (288 letters) stays letter by letter
@@ -241,10 +246,11 @@ def test_grover_blocks_take_the_word_walk_and_first_blocks_do_not(monkeypatch):
     block = grover._letters(raw, grover._STREAM_BLOCK)
     first = grover._letters(raw, 288)
     assert block.flags.c_contiguous and block.dtype == np.uint8
-    with monkeypatch.context() as patch:
-        patch.setattr(kernels, "_letter_walk", refuse)
-        got = kernels.push_letters_until(block, 0, 144)
-    assert got == oracles.push_letters_loops(block, 0, 144)
+    for level, target in _FULL_BLOCK_WALKS:
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_letter_walk", refuse)
+            got = kernels.push_letters_until(block, level, target)
+        assert got == oracles.push_letters_loops(block, level, target), (level, target)
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "_word_walk", refuse)
         got = kernels.push_letters_until(first, 0, 8)
