@@ -253,8 +253,8 @@ def cmd_bv(args) -> Output:
 
     # keep each trial's count and success, and only trial 0's realization
     # (for --samples); trial i draws child i of the seed,
-    # SeedSequence(seed).spawn(trials + 1)[i], from one Generator re-seated
-    # as the trial starts, and --samples draws child trials
+    # SeedSequence(seed).spawn(trials + 1)[i], from kernels.seed_children,
+    # and --samples draws child trials
     children = kernels.seed_children(seed)
     detail = []
     first = None

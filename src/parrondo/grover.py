@@ -23,10 +23,19 @@ from . import kernels, statevec
 
 _STREAM_BLOCK = 1 << 14
 
+# Most first-block letters walked in one kernel call when plays are walked
+# together (about 10 B of working set a letter), and the fewest plays worth
+# it.  In-process at k = 4 on a 2-core Xeon (best of 1,000), 4 plays took
+# 92 us walked together and 119 us one by one; 1, 2 and 3 plays one by one
+# took 41, 66 and 91 us (48, 81 and 101 us before plays were walked together).
+_CHUNK_LETTERS = 1 << 15
+_BATCH_PLAYS = 4
+
 # Most plays the CLI accepts per waiting-time estimate.  waiting_time_stats
-# re-seats one Generator at each play's child of the seed as the play runs
-# (kernels.seed_children) and keeps every stopping index: about 35 B per
-# play at peak (43 MB peak RSS at 2e5 plays, 36 MB at 10^3).
+# keeps every stopping index as one float64, 8 B a play, and walks the plays
+# a chunk at a time: grover -n 4 --trials N peaks at 37, 38 and 44 MB of RSS
+# for N = 10^3, 2e5 and 10^6 (36, 41 and 59 MB when it kept a Python list),
+# and takes 8.5 s at 10^6 on a 2-core Xeon.
 MAX_TRIALS = 10**6
 
 # Most Grover rounds the CLI runs for one command.  sweep_success keeps one
@@ -133,18 +142,29 @@ class WaitingTimeStats:
     letter_cap: int
 
 
-def _letters(raw, size: int) -> np.ndarray:
-    """The next size letters of a seeded stream, from its random_raw method.
+def _letters(words: np.ndarray, size: int) -> np.ndarray:
+    """The first size letters held by raw uint64 words of a seeded stream.
 
-    They are the letters of Generator.integers(0, 2, size, dtype=np.uint8):
-    numpy draws a uint8 on [0, 2) by Lemire's method with threshold 0, so
-    each letter is bit 7 of one byte of PCG64's raw uint64 words, low byte
-    first.  A size off a multiple of 8 leaves the rest of its last word
-    unread.
+    They are the letters of Generator.integers(0, 2, size, dtype=np.uint8)
+    when words are the stream's next random_raw words: numpy draws a uint8
+    on [0, 2) by Lemire's method with threshold 0, so each letter is bit 7
+    of one byte of PCG64's raw uint64 words, low byte first.  A size off a
+    multiple of 8 leaves the rest of its last word unread.  A (plays, words)
+    array gives one row of letters per play; words is overwritten.
     """
-    bits = raw(-(-size // 8)).astype("<u8", copy=False).view(np.uint8)[:size]
+    bits = words.astype("<u8", copy=False).view(np.uint8)[..., :size]
     bits >>= 7
     return bits
+
+
+def _block(target_length: int) -> int:
+    """Letters per block of a play: four mean hitting times, within [64, _STREAM_BLOCK].
+
+    4 * target_length * (target_length + 1) letters, rounded up to a
+    multiple of 8.
+    """
+    first = max(64, 4 * target_length * (target_length + 1))
+    return min(_STREAM_BLOCK, -(-first // 8) * 8)
 
 
 def _stopping_index(
@@ -152,11 +172,9 @@ def _stopping_index(
 ) -> int | None:
     """Letters consumed until the reduced length first equals target_length.
 
-    Letters are drawn in blocks of one size per play, four times the exact
-    mean hitting time, 4 * target_length * (target_length + 1) letters,
-    rounded up to a multiple of 8, at least 64 and at most _STREAM_BLOCK.  A
-    kernel call costs about as much as walking 2,000 letters one by one, so
-    the first block is sized to end nearly every play, not only the average
+    Letters are drawn in blocks of _block(target_length) letters.  A kernel
+    call costs about as much as walking 2,000 letters one by one, so the
+    first block is sized to end nearly every play, not only the average
     one: 1.01 kernel calls per play at k = 4 and 6, against 1.40 with a
     first block of the mean.  The few plays that outrun it draw later blocks
     of the same size.  The letters come from rng's raw words (see _letters),
@@ -166,21 +184,58 @@ def _stopping_index(
     end inside a word, and no draw follows it.  The walk reaches every level
     with probability one, so letter_cap only bounds a pathological stream: a
     play that spends letter_cap letters without stopping returns None
-    instead of hanging.
+    instead of hanging.  _stopping_indices walks many plays' first blocks
+    at once, and plays again here each play that outruns its first block.
     """
     raw = rng.bit_generator.random_raw
     consumed = 0
     level = 0
-    first = max(64, 4 * target_length * (target_length + 1))
-    block = min(_STREAM_BLOCK, -(-first // 8) * 8)
+    block = _block(target_length)
     while consumed < letter_cap:
         size = min(block, letter_cap - consumed)
-        bits = _letters(raw, size)
+        bits = _letters(raw(-(-size // 8)), size)
         used, level, hit = kernels.push_letters_until(bits, level, target_length)
         consumed += used
         if hit:
             return consumed
     return None
+
+
+def _stopping_indices(target_length: int, trials: int, seed, letter_cap: int):
+    """Yield the stopping indices of the plays that stop, in play order, a chunk at a time.
+
+    A chunk covers the plays of up to _CHUNK_LETTERS letters of first
+    blocks, less those that spend letter_cap letters without stopping.
+    Play i draws child i of the seed (kernels.seed_children).  With at least
+    _BATCH_PLAYS plays whose first block takes the per-letter walk (k below
+    20), each play of a chunk draws its first block from its own child's
+    stream as one row, and one kernels._letter_walk call walks all the rows.
+    A play that outruns its first block, about 1 in 100, is played again
+    from the start by _stopping_index on a Generator numpy builds for its
+    child, so it draws the same letters and stops at the same index.
+    Otherwise each play runs alone through _stopping_index.
+    """
+    block = _block(target_length)
+    plays = max(1, _CHUNK_LETTERS // block)
+    batched = trials >= _BATCH_PLAYS and block < kernels._WORD_WALK
+    size = min(block, letter_cap)
+    words = -(-size // 8)
+    children = kernels.seed_children(seed)
+    for first in range(0, trials, plays):
+        rngs = itertools.islice(children, min(plays, trials - first))
+        if not batched:
+            indices = [_stopping_index(rng, target_length, letter_cap) for rng in rngs]
+            yield [index for index in indices if index is not None]
+            continue
+        rows = np.concatenate([rng.bit_generator.random_raw(words) for rng in rngs])
+        rows = rows.reshape(-1, words)
+        used, _ = kernels._letter_walk(_letters(rows, size), 0, target_length)
+        if size < letter_cap:
+            for j in np.flatnonzero(used == 0).tolist():
+                child = np.random.SeedSequence(seed, spawn_key=(first + j,))
+                index = _stopping_index(np.random.default_rng(child), target_length, letter_cap)
+                used[j] = index or 0
+        yield used[used > 0]
 
 
 def _level(target_k: int) -> int:
@@ -231,10 +286,15 @@ def waiting_time_stats(
 ) -> WaitingTimeStats:
     """Distribution of the stopping index over independent seeded plays.
 
-    Plays that hit the letter cap, default_letter_cap(target_k) unless
-    given, are counted in cap_exceeded and excluded from the moments.  A
-    given cap must be >= 1.  The state vector never enters: waiting times
-    depend only on the letter stream.
+    Play i draws child i of the seed, SeedSequence(seed).spawn(trials)[i],
+    and stops where _stopping_index stops it on that child's stream; short
+    plays are walked a chunk at a time (_stopping_indices).  Plays that hit
+    the letter cap, default_letter_cap(target_k) unless given, are counted
+    in cap_exceeded and excluded from the moments.  A given cap must be
+    >= 1.  The state vector never enters: waiting times depend only on the
+    letter stream.  The stopping indices are kept in play order in one
+    float64 array, and mean and variance are numpy's mean and var of it,
+    the variance taken in place.
     """
     level = _level(target_k)
     if trials < 1:
@@ -246,19 +306,19 @@ def waiting_time_stats(
         digits = len(str(-letter_cap))
         shown = letter_cap if digits <= 20 else f"a value of {digits} digits"
         raise ValueError(f"letter cap must be >= 1, got {shown}")
-    times = []
-    cap_exceeded = 0
-    # play i draws child i of the seed, SeedSequence(seed).spawn(trials)[i]:
-    # one Generator re-seated as each play starts
-    for rng in itertools.islice(kernels.seed_children(seed), trials):
-        index = _stopping_index(rng, level, letter_cap)
-        if index is None:
-            cap_exceeded += 1
-        else:
-            times.append(index)
-    if times:
-        arr = np.array(times, dtype=np.float64)
-        mean, variance, peak = float(arr.mean()), float(arr.var()), int(arr.max())
+    # float64, not int64: var subtracts the float mean from these same values
+    times = np.empty(trials)
+    kept = 0
+    for stopped in _stopping_indices(level, trials, seed, letter_cap):
+        times[kept : kept + len(stopped)] = stopped
+        kept += len(stopped)
+    if kept:
+        times = times[:kept]
+        # numpy's mean and var, sums over the count, without var's copy
+        mean, peak = times.sum() / kept, times.max()
+        times -= mean
+        times *= times
+        mean, variance, peak = float(mean), float(times.sum() / kept), int(peak)
     else:
         mean, variance, peak = math.nan, math.nan, 0
     return WaitingTimeStats(
@@ -266,6 +326,6 @@ def waiting_time_stats(
         mean=mean,
         variance=variance,
         max=peak,
-        cap_exceeded=cap_exceeded,
+        cap_exceeded=trials - kept,
         letter_cap=letter_cap,
     )

@@ -5,7 +5,9 @@ deterministic output, so seeded experiments reproduce bit for bit.
 seed_children hands out the seeded streams those draws come from.
 
 The letter walk steps a uint64 word (8 letters) at a time on blocks of at
-least _WORD_WALK one-byte letters, and one letter at a time on the rest.
+least _WORD_WALK one-byte letters, and one letter at a time on the rest; the
+per-letter walk also walks a (plays, letters) array of short plays' blocks,
+one row per play.
 """
 
 from __future__ import annotations
@@ -133,31 +135,32 @@ def push_letters_until(bits, level, target):
     else:
         used, moved = _letter_walk(bits, level, target)
     if used:
-        return used, target, True
-    z = level + moved
+        return int(used), target, True
+    z = level + int(moved)
     return size, z if z >= 0 else ~z, False
 
 
 def _letter_walk(bits, level, target):
     """(letters up to the first hit, or 0; Z - level after the block), letter by letter.
 
-    A letter's step is 2*letter - 1 at an even Z and its negation at an odd
-    one, so every other step of the kernel's own array is negated, with no
-    parity table, and Z - level is one int32 cumsum, within +-bits.size.
+    bits is one block, or a (plays, letters) array of blocks that each start
+    at level: then both values are arrays, one entry per row.  A letter's
+    step is 2*letter - 1 at an even Z and its negation at an odd one, so
+    every other step of the kernel's own array is negated, with no parity
+    table, and Z - level is one int32 cumsum along the row, within +-letters.
     """
     steps = bits.astype(np.int8)  # a copy, so bits is never written
     steps *= 2  # numpy's int8 <<= is several times slower
     steps -= 1
-    odd = steps[~level & 1 :: 2]  # the steps taken from an odd Z
+    odd = steps[..., ~level & 1 :: 2]  # the steps taken from an odd Z
     np.negative(odd, out=odd)
-    walk = np.cumsum(steps, dtype=np.int32)  # Z - level
-    if target >= 0:
-        hits = walk == target - level
-        hits |= walk == ~target - level
-        t = int(hits.argmax())
-        if hits[t]:
-            return t + 1, 0
-    return 0, int(walk[-1])
+    walk = np.cumsum(steps, axis=-1, dtype=np.int32)  # Z - level
+    if target < 0:
+        return 0, walk[..., -1]
+    hits = walk == target - level
+    hits |= walk == ~target - level
+    # argmax is a row's first hit, or 0 in a row without one
+    return (hits.argmax(axis=-1) + 1) * hits.any(axis=-1), walk[..., -1]
 
 
 def _word_walk(bits, level, target):
@@ -204,82 +207,103 @@ _OUT_INIT, _OUT_MULT = 0x8B51F9DD, 0x58F38DED  # the same, as generate_state
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+# hashmix's constant moves by one multiply per call: after t calls from c it
+# is c * mult**t, so the constants of a run of calls are known up front
+_MIX_STEPS = tuple(pow(_MIX_MULT, t, 1 << 32) for t in range(9))
+_OUT_CONSTS = tuple(_OUT_INIT * pow(_OUT_MULT, t, 1 << 32) & _MASK32 for t in range(9))
+
+# Children built by numpy, and most children hashed in one pass.  A pass
+# costs about 15 us and the seed's pool about 7 us, a numpy-built child about
+# 13 us and a hashed one about 2.5 us, so hashing pays from a few children
+# on.  Passes double from 8 children, so a caller with a few plays hashes a
+# few; a pass of 256 takes about 65 us and holds about 70 kB of Python ints.
+_NUMPY_CHILDREN = 4
+_CHILD_CHUNK = 256
 
 
 def seed_children(seed):
-    """Yield one Generator, seated in turn at child 0, 1, 2, ... of seed.
+    """Yield a Generator seated at child 0, 1, 2, ... of seed, in turn.
 
     Child i draws the stream of default_rng(SeedSequence(seed,
-    spawn_key=(i,))), which is SeedSequence(seed).spawn(n)[i]'s.  The same
-    Generator comes back each time, re-seated, so a caller is done with
-    child i before it asks for the next.  Child 0 is built by numpy: a
-    one-play caller pays what numpy's constructor costs, and a bad seed
-    raises numpy's own error before any play.  Each later child is re-seated
-    from SeedSequence(seed)'s pool, which numpy hashes once (_child_state).
+    spawn_key=(i,))), which is SeedSequence(seed).spawn(n)[i]'s, so a
+    caller is done with child i before it asks for the next.  Numpy builds
+    the first _NUMPY_CHILDREN children: a caller with a few plays pays what
+    numpy's constructor costs, and a bad seed raises numpy's own error before
+    any play.  The last of them is then re-seated at each later child, which
+    is hashed from SeedSequence(seed)'s pool, itself hashed by numpy once,
+    in passes of 8, 16, 32, ... up to _CHILD_CHUNK children (_child_words);
+    each hashed child then costs one PCG64 seeding in Python integers and
+    numpy's state setter.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    yield rng
-    pool, hash_const = _seed_pool(seed)
-    bit_generator = rng.bit_generator
-    child = 1
-    while True:
-        bit_generator.state = _child_state(pool, hash_const, child)
+    for child in range(_NUMPY_CHILDREN):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
         yield rng
-        child += 1
+    key = _seed_key(seed)
+    bit_generator = rng.bit_generator
+    # numpy's setter reads the values out, so one dict serves every child
+    pcg64 = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg64, "has_uint32": 0, "uinteger": 0}
+    first, count = _NUMPY_CHILDREN, 8
+    while True:
+        for w0, w1, w2, w3 in _child_words(key, first, count).tolist():
+            # PCG64's seeding: state s from the first two words, stream q
+            # from the last two, then from 0 one LCG step, s added, and one
+            # more, with increment 2q + 1
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            pcg64["state"] = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+            pcg64["inc"] = inc
+            bit_generator.state = state
+            yield rng
+        first += count
+        count = min(2 * count, _CHILD_CHUNK)
 
 
-def _seed_pool(seed):
-    """SeedSequence(seed)'s pool as ints, and the hashmix constant after it.
+def _seed_key(seed):
+    """SeedSequence(seed)'s pool, then hashmix's and generate_state's next constants.
 
     A spawned SeedSequence pads the seed's words to the pool size and mixes
     the spawn words in last, so its pool before them is SeedSequence(seed)'s.
     By then hashmix has run 16 times, 4 to fill the pool and 12 to cross-mix
     it, plus 4 times per seed word past the fourth.  seed is a non-negative
-    integer, which numpy splits into 32-bit words, at least one.
+    integer, which numpy splits into 32-bit words, at least one.  All three
+    arrays are uint32; hashmix's 9 constants come twice, as two equal rows.
     """
     words = max(1, -(-operator.index(seed).bit_length() // 32))
-    pool = [int(word) for word in np.random.SeedSequence(seed).pool]
     calls = 16 + 4 * max(0, words - 4)
-    return pool, _MIX_INIT * pow(_MIX_MULT, calls, 1 << 32) & _MASK32
+    hash_const = _MIX_INIT * pow(_MIX_MULT, calls, 1 << 32) & _MASK32
+    mix = np.array(_MIX_STEPS * 2, np.uint32).reshape(2, 9) * hash_const
+    return np.random.SeedSequence(seed).pool, mix, np.array(_OUT_CONSTS, np.uint32)
 
 
-def _child_state(pool, hash_const, child):
-    """PCG64 state of child number child >= 0 of a seed, from the seed's pool.
+def _child_words(key, first, count):
+    """The four uint64 seed words of children first, ..., first + count - 1 of a seed.
 
-    pool and hash_const are the seed's, from _seed_pool.  child's 32-bit
-    words, low first, are mixed into the pool as SeedSequence.mix_entropy
-    does; the pool is hashed out as generate_state(4, np.uint64) does; and
-    PCG64 is seeded from the four words: state s from the first two, stream
-    q from the last two, then from 0 one LCG step, s added, and one more,
-    with increment 2q + 1.
+    key is the seed's, from _seed_key, and every child is below 2**64.  Row
+    i is SeedSequence(seed, spawn_key=(first + i,)).generate_state(4,
+    np.uint64): the child's 32-bit words, low first (one for a child below
+    2**32, two above), are mixed into the pool as SeedSequence.mix_entropy
+    does, and the pool is hashed out as generate_state does, all children at
+    once in uint32 arrays, which wrap as the hash does.  Hashmix call d of a
+    child word mixes into pool word d, and output word k is hashed from pool
+    word k mod 4, so each child is one (2, 4) block throughout: its pool
+    twice, then its 8 output words in order.
     """
-    mixer = list(pool)
-    while True:
-        word = child & _MASK32
-        for dst in range(4):
-            value = word ^ hash_const
-            hash_const = hash_const * _MIX_MULT & _MASK32
-            value = value * hash_const & _MASK32
-            value ^= value >> 16
-            mixed = (_MIX_L * mixer[dst] - _MIX_R * value) & _MASK32
-            mixer[dst] = mixed ^ mixed >> 16
-        child >>= 32
-        if not child:
-            break
-    out = []
-    hash_const = _OUT_INIT
-    for k in range(8):
-        value = mixer[k & 3] ^ hash_const
-        hash_const = hash_const * _OUT_MULT & _MASK32
-        value = value * hash_const & _MASK32
-        out.append(value ^ value >> 16)
+    pool, mix, out = key
+    rest = np.arange(first, first + count, dtype=np.uint64)
+    mixer = pool
+    for j in range(max(1, -(-(first + count - 1).bit_length() // 32))):
+        if j:
+            rest >>= np.uint64(32)
+        value = rest.astype(np.uint32)[:, None, None] ^ mix[:, 4 * j : 4 * j + 4]
+        value *= mix[:, 4 * j + 1 : 4 * j + 5]
+        value ^= value >> 16
+        value *= np.uint32(_MIX_R)
+        mixed = np.subtract(mixer * np.uint32(_MIX_L), value, out=value)
+        mixed ^= mixed >> 16
+        # a child below 2**(32 * j) has no word j, and keeps its mixer
+        mixer = np.where(rest[:, None, None] > 0, mixed, mixer) if j else mixed
+    mixer ^= out[:8].reshape(2, 4)
+    mixer *= out[1:].reshape(2, 4)
+    mixer ^= mixer >> 16
     # uint64 word j is uint32 words 2j (low) and 2j + 1
-    w0, w1, w2, w3 = (out[j] | out[j + 1] << 32 for j in range(0, 8, 2))
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    return mixer.astype("<u4", copy=False).reshape(count, 8).view("<u8")

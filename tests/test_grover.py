@@ -1,11 +1,13 @@
 """Stopping game: word algebra, closed forms, stopping-time behaviour."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrondo import grover, kernels, statevec
@@ -194,8 +196,8 @@ def test_stopping_index_matches_fixed_block_reference():
 def test_raw_byte_letters_match_one_uint8_draw(seed, blocks, cut):
     # _stopping_index relies on numpy's uint8 draw on [0, 2) being bit 7 of
     # each raw byte: blocks of 8 to 2**14 letters, then one a cap cut short
-    rng = np.random.default_rng(seed)
-    letters = [grover._letters(rng.bit_generator.random_raw, size) for size in (*blocks, cut)]
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    letters = [grover._letters(raw(-(-size // 8)), size) for size in (*blocks, cut)]
     whole = np.random.default_rng(seed).integers(0, 2, size=sum(blocks) + cut, dtype=np.uint8)
     assert np.array_equal(np.concatenate(letters), whole)
 
@@ -297,14 +299,93 @@ def _kernel_block_sizes(monkeypatch, target_k, trials, seed):
     return sizes
 
 
+def _per_play_indices(target_k, trials, seed, letter_cap=None):
+    # the per-play path: child i of the seed, played alone by _stopping_index
+    if letter_cap is None:
+        letter_cap = grover.default_letter_cap(target_k)
+    children = itertools.islice(kernels.seed_children(seed), trials)
+    return [grover._stopping_index(rng, 2 * target_k, letter_cap) for rng in children]
+
+
 def test_short_plays_end_in_their_first_block(monkeypatch):
     # a kernel call costs about 2,000 letters of the per-letter walk, so the
-    # first block is sized to finish nearly every play: 1.40 calls per play
-    # at k = 4 when it covered only the mean
+    # first block is sized to finish nearly every play: at k = 4 a play
+    # needed 1.40 calls when it covered only the mean.  Batched plays that
+    # end in their first block make no push_letters_until call at all; the
+    # few that outrun it are played again alone, so the calls stay far below
+    # one per play
     sizes = _kernel_block_sizes(monkeypatch, 4, 1000, seed=1)
     assert len(sizes) <= 1.05 * 1000
-    # and the few plays that outrun it draw later blocks of the same size
+    # and those plays draw every block at the first block's size
     assert set(sizes) == {288}
+
+
+def test_batched_plays_call_the_kernel_only_when_they_outrun_their_first_block(monkeypatch):
+    # each play that outruns its 288 letters is played again from the start,
+    # one push_letters_until call per 288-letter block it draws; no other
+    # play calls it
+    times = _per_play_indices(4, 1000, seed=1)
+    outran = [t for t in times if t > 288]
+    assert 0 < len(outran) <= 0.02 * 1000
+    sizes = _kernel_block_sizes(monkeypatch, 4, 1000, seed=1)
+    assert len(sizes) == sum(-(-t // 288) for t in outran)
+
+
+def test_fewer_plays_than_the_batch_minimum_run_one_by_one(monkeypatch):
+    # below _BATCH_PLAYS each play calls push_letters_until once per block,
+    # so traces of a few plays still show one call per play at least
+    trials = grover._BATCH_PLAYS - 1
+    times = _per_play_indices(4, trials, seed=2)
+    sizes = _kernel_block_sizes(monkeypatch, 4, trials, seed=2)
+    assert len(sizes) == sum(-(-t // 288) for t in times) >= trials
+
+
+def _per_play_stats(target_k, trials, seed, letter_cap):
+    times = _per_play_indices(target_k, trials, seed, letter_cap)
+    kept = np.array([t for t in times if t is not None], dtype=np.float64)
+    stopped = kept.size > 0
+    return grover.WaitingTimeStats(
+        trials=trials,
+        mean=float(kept.mean()) if stopped else math.nan,
+        variance=float(kept.var()) if stopped else math.nan,
+        max=int(kept.max()) if stopped else 0,
+        cap_exceeded=times.count(None),
+        letter_cap=grover.default_letter_cap(target_k) if letter_cap is None else letter_cap,
+    )
+
+
+def _same_stats(got, want):
+    for field in ("trials", "mean", "variance", "max", "cap_exceeded", "letter_cap"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a == b or (math.isnan(a) and math.isnan(b)), (field, a, b)
+
+
+@st.composite
+def _batched_calls(draw):
+    # k = 1..19 take the batched walk, k = 20 (6,560-letter blocks) does not;
+    # play counts around the batch minimum and a chunk boundary, and caps of
+    # 1, inside, at and just past the first block, and the default
+    target_k = draw(st.integers(1, 20))
+    block = grover._block(2 * target_k)
+    chunk = max(1, grover._CHUNK_LETTERS // block)
+    low = grover._BATCH_PLAYS
+    trials = draw(st.sampled_from([1, low - 1, low, low + 1, chunk, chunk + 1, 2 * chunk + 3]))
+    cap = draw(st.sampled_from([1, block // 2 + 3, block, block + 1, None]))
+    return target_k, trials, draw(st.integers(0, 2**64)), cap
+
+
+@settings(deadline=None, max_examples=120)
+@example(call=(4, 114, 1, None))  # a full chunk of 113 plays and one more
+@example(call=(4, 1000, 101, 289))  # outran plays cut one letter later
+@example(call=(1, 1025, 7, None))  # 512-play chunks of 64 letters
+@example(call=(19, 11, 3, None))  # 5 plays of 5,928 letters a chunk
+@example(call=(20, 9, 3, None))  # one play at a time
+@example(call=(100, 5, 1, 50))  # every play capped
+@given(call=_batched_calls())
+def test_batched_plays_stop_where_each_play_alone_stops(call):
+    target_k, trials, seed, cap = call
+    got = grover.waiting_time_stats(target_k, trials, seed, letter_cap=cap)
+    _same_stats(got, _per_play_stats(target_k, trials, seed, cap))
 
 
 @pytest.mark.parametrize(
@@ -324,3 +405,52 @@ def test_waiting_time_stats_validation():
     for cap, shown in ((0, "0"), (-5, "-5"), (-(10**25), "a value of 26 digits")):
         with pytest.raises(ValueError, match=f"^letter cap must be >= 1, got {shown}$"):
             grover.waiting_time_stats(4, trials=10, seed=1, letter_cap=cap)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_many_plays_hold_one_float_each_and_one_chunk():
+    # the plays keep their stopping indices as one float64 array, 8 B a
+    # play; the rest is one chunk at a time (its raw rows, int8 steps, int32
+    # walk and barrier masks, about 10 B a letter) and one pass of the seed
+    # hash, within 20 B per letter of a chunk.  A Python list of the plays'
+    # indices, or their rows kept, breaks the bound at 2 * 10^4 plays;
+    # tracemalloc makes each play's seeding about 20 times slower, so the
+    # moments' share is checked with more plays below, without the seeding
+    trials = 2 * 10**4
+    grover.waiting_time_stats(4, 10, seed=4)  # imports and caches warmed
+    _, peak = _traced_peak(lambda: grover.waiting_time_stats(4, trials, seed=4))
+    assert peak <= 8 * trials + 20 * grover._CHUNK_LETTERS
+
+
+def test_moments_are_numpys_taken_in_place(monkeypatch):
+    # mean and variance are numpy's mean and var of the stopping indices as
+    # float64, in play order, taken without a second array of the plays:
+    # 10^6 plays of known indices, one in 1,000 capped, arrive 4,096 at a time
+    trials = 10**6
+    indices = np.random.default_rng(5).integers(1, 10**4, size=trials)
+    indices[::1000] = 0
+
+    def chunks(target_length, count, seed, letter_cap):
+        assert count == trials
+        for first in range(0, count, 4096):
+            chunk = indices[first : first + 4096]
+            yield chunk[chunk > 0]
+
+    monkeypatch.setattr(grover, "_stopping_indices", chunks)
+    stats, peak = _traced_peak(lambda: grover.waiting_time_stats(4, trials, seed=1))
+    kept = indices[indices > 0].astype(np.float64)
+    assert (stats.mean, stats.variance, stats.max, stats.cap_exceeded) == (
+        float(kept.mean()),
+        float(kept.var()),
+        int(kept.max()),
+        trials // 1000,
+    )
+    assert peak <= 8 * trials + 2**17

@@ -166,6 +166,26 @@ def test_push_letters_matches_loop_reference_near_the_int64_switch(bits, level, 
     )
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    rows=st.integers(1, 6),
+    letters=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    level=st.integers(0, 12),
+    target=st.integers(-1, 14),
+)
+def test_letter_walk_of_rows_is_each_rows_walk(rows, letters, seed, level, target):
+    # a (plays, letters) array walks each row from level, as one block would
+    bits = np.random.default_rng(seed).integers(0, 2, size=(rows, letters), dtype=np.uint8)
+    used, moved = kernels._letter_walk(bits, level, target)
+    for row, row_used, row_moved in zip(bits, np.broadcast_to(used, rows), moved):
+        want_used, want_level, hit = oracles.push_letters_loops(row, level, target)
+        assert row_used == (want_used if hit else 0)
+        if not hit:
+            z = level + int(row_moved)
+            assert (z if z >= 0 else ~z) == want_level
+
+
 def test_push_letters_edge_cases():
     empty = np.zeros(0, dtype=np.uint8)
     assert kernels.push_letters_until(empty, 3, 4) == (0, 3, False)
@@ -243,8 +263,8 @@ def test_grover_blocks_take_the_word_walk_and_first_blocks_do_not(monkeypatch):
         raise AssertionError("the other walk ran")
 
     raw = np.random.default_rng(5).bit_generator.random_raw
-    block = grover._letters(raw, grover._STREAM_BLOCK)
-    first = grover._letters(raw, 288)
+    block = grover._letters(raw(grover._STREAM_BLOCK // 8), grover._STREAM_BLOCK)
+    first = grover._letters(raw(288 // 8), 288)
     assert block.flags.c_contiguous and block.dtype == np.uint8
     for level, target in _FULL_BLOCK_WALKS:
         with monkeypatch.context() as patch:
@@ -261,6 +281,10 @@ def _numpy_child(seed, child):
     return np.random.SeedSequence(seed, spawn_key=(child,))
 
 
+def _numpy_words(seed, child):
+    return _numpy_child(seed, child).generate_state(4, np.uint64).tolist()
+
+
 @settings(deadline=None, max_examples=300)
 @example(seed=0, child=0)
 @example(seed=2**32 - 1, child=1)  # one seed word
@@ -268,26 +292,67 @@ def _numpy_child(seed, child):
 @example(seed=2**128, child=1)  # five: one hashed in after the cross-mix
 @example(seed=2**200, child=2**32 - 1)
 @example(seed=5, child=2**32)  # a two-word spawn key
-@example(seed=2**128, child=2**70)  # a three-word spawn key
-@given(seed=st.integers(0, 2**200), child=st.integers(0, 2**70))
-def test_child_state_is_numpys_spawned_pcg64(seed, child):
-    want = np.random.PCG64(_numpy_child(seed, child)).state
-    assert kernels._child_state(*kernels._seed_pool(seed), child) == want
+@example(seed=2**256, child=2**64 - 1)  # nine seed words; the last child
+@given(seed=st.integers(0, 2**300), child=st.integers(0, 2**64 - 1))
+def test_child_words_are_numpys_spawned_seed_words(seed, child):
+    got = kernels._child_words(kernels._seed_key(seed), child, 1)
+    assert got.tolist() == [_numpy_words(seed, child)]
 
 
+@pytest.mark.parametrize("first", [0, 2**32 - 5, 2**64 - 10])
+def test_one_pass_hashes_each_child_as_numpy_does(first):
+    # one- and two-word spawn keys in one pass, and a pass ending at 2**64 - 1
+    key = kernels._seed_key(2**128)
+    got = kernels._child_words(key, first, 10)
+    assert got.tolist() == [_numpy_words(2**128, first + i) for i in range(10)]
+
+
+def _hash_passes(monkeypatch, seed, children):
+    passes = []
+    child_words = kernels._child_words
+
+    def recorded(key, first, count):
+        passes.append((first, count))
+        return child_words(key, first, count)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_child_words", recorded)
+        for _ in zip(range(children), kernels.seed_children(seed)):
+            pass
+    return passes
+
+
+# seeds of 1, 1, 1, 2, 2, 4, 5, 7 and 9 uint32 words: each word past the
+# fourth runs hashmix 4 more times before the spawn key
 @pytest.mark.parametrize(
     "seed",
-    [0, 424242, 2**128 - 1, 2**128, 2**200 + 1, np.int64(2**62 + 9), np.uint64(2**64 - 1)],
+    [
+        0,
+        1,
+        424242,
+        np.int64(2**62 + 9),
+        np.uint64(2**64 - 1),
+        2**128 - 1,
+        2**128,
+        2**200 + 1,
+        2**256 + 3,
+    ],
 )
-def test_seed_children_draw_numpys_child_streams(seed):
-    # each child is checked by its draws, a half-used uint32 word left
-    # behind each time, so nothing of one child's state leaks into the next
-    children = kernels.seed_children(seed)
-    for child, rng in zip(range(6), children):
-        native = np.random.default_rng(_numpy_child(seed, child))
-        assert rng.bit_generator.state == native.bit_generator.state
-        want = native.integers(0, 2**32, size=3, dtype=np.uint32)
-        assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32), want)
+def test_seed_children_draw_numpys_child_streams(monkeypatch, seed):
+    # the children checked are the first few, built by numpy and then hashed,
+    # and the two on each side of every hash pass, up to three at the cap;
+    # each is checked by its draws, a half-used uint32 word left behind each
+    # time, so nothing of one child's state leaks into the next
+    passes = _hash_passes(monkeypatch, seed, 4 * kernels._CHILD_CHUNK)
+    assert [count for _, count in passes][-3:] == [kernels._CHILD_CHUNK] * 3
+    checked = set(range(kernels._NUMPY_CHILDREN + 2))
+    checked.update(first + side for first, _ in passes for side in (-1, 0))
+    for child, rng in zip(range(max(checked) + 1), kernels.seed_children(seed)):
+        if child in checked:
+            native = np.random.default_rng(_numpy_child(seed, child))
+            assert rng.bit_generator.state == native.bit_generator.state, child
+            want = native.integers(0, 2**32, size=3, dtype=np.uint32)
+            assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32), want)
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "7"])
