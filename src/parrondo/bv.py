@@ -189,16 +189,19 @@ def exact_success(n: int, unflipped_count: int) -> float:
 def single_reflection_baseline(n: int, alpha: int, y: int) -> float:
     """Success when the player reflects about a single |y> instead of the oracle.
 
-    Evaluates |<alpha| H (flip y) H |0...0>|**2 through the state-vector
-    pipeline: the uniform state H|0...0> with entry y negated in place, then
-    the one transform entry on alpha; the value is 4/4**n for every eligible y.
+    Evaluates |<alpha| H (flip y) H |0...0>|**2 as the state-vector pipeline
+    would, bit for bit: the uniform state H|0...0> with entry y negated, then
+    its one transform entry on alpha, scaled and squared as in
+    statevec.hadamard_probability.  That state holds two values, so the
+    entry is kernels.fwht_entry_of_two_values, O(n) and without the state;
+    the value is 4/4**n for every eligible y.
     """
     _check_alpha(n, alpha)
     if not (0 <= y < 1 << n) or (y & alpha).bit_count() % 2 == 0:
         raise ValueError(f"reflection index y={y} must be a basis index, y . alpha = 1")
-    state = statevec.uniform_state(n)
-    state[y] = -state[y]
-    return statevec.hadamard_probability(state, alpha)
+    scale = 2.0 ** (-n / 2.0)
+    entry = kernels.fwht_entry_of_two_values(1 << n, scale, -scale, y, alpha)
+    return float((entry * scale) ** 2)
 
 
 def independent_exhaustive_mean(n: int, alpha: int) -> float:

@@ -39,8 +39,9 @@ _BATCH_PLAYS = 4
 MAX_TRIALS = 10**6
 
 # Most Grover rounds the CLI runs for one command.  sweep_success keeps one
-# float per round, about 32 B: grover -n 2 --strategy k=1000000 peaks at 74 MB
-# of RSS against 36 MB without the list, and takes about 14 s on a 2-core Xeon.
+# float per round, about 32 B: grover -n 2 --strategy k=1000000 --trials 1
+# --letter-cap 10000000 peaks at 75 MB of RSS against 36 MB at k=1, and takes
+# about 8 s on a 2-core Xeon (14 s when every round built two fresh arrays).
 MAX_ROUNDS = 10**6
 
 __all__ = [
@@ -62,26 +63,34 @@ __all__ = [
 def _rounds(n: int, alpha: int):
     """Yield the states after 0, 1, 2, ... full rounds from the uniform start state.
 
-    One round is a sign flip at alpha, then diffusion.  The next state is
-    computed only when it is asked for, so taking j states runs j - 1 rounds.
+    One round is a sign flip at alpha, then diffusion, the same float
+    operations as statevec.flip_sign_at and statevec.diffusion, but both
+    written into one buffer: every state yielded is that buffer, valid only
+    until the next state is asked for.  The next state is computed only when
+    it is asked for, so taking j states runs j - 1 rounds.  alpha is checked
+    before the first state, as an in-place flip at a negative index would
+    wrap round.
     """
     state = statevec.uniform_state(n)
+    statevec._check_index(n, alpha)
     while True:
         yield state
-        state = statevec.diffusion(statevec.flip_sign_at(state, alpha))
+        state[alpha] = -state[alpha]
+        statevec.diffusion(state, out=state)
 
 
 def realize_word(length: int, n: int, alpha: int) -> np.ndarray:
     """Apply the reduced word of the given length to the uniform start state.
 
     Even length 2j runs j rounds of sign-flip-then-diffusion; odd length adds
-    one more sign flip on top.
+    one more sign flip on top.  The rounds' buffer is returned as it is: its
+    generator is dropped here, so the caller holds the only reference.
     """
     if length < 0:
         raise ValueError(f"reduced length must be >= 0, got {length}")
     state = next(itertools.islice(_rounds(n, alpha), length // 2, None))
     if length % 2:
-        state = statevec.flip_sign_at(state, alpha)
+        state[alpha] = -state[alpha]
     return state
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "BACKEND",
     "fwht_inplace",
     "fwht_entry",
+    "fwht_entry_of_two_values",
     "parity_flip_inplace",
     "ring_walk_wins",
     "push_letters_until",
@@ -57,7 +58,8 @@ def fwht_entry(amps, index):
     entries whose low s bits equal index's; it keeps a + b where bit s of
     index is 0 and a - b where it is 1, the same operation on the same
     float64 operands as the full transform.  About 2 * amps.size element
-    reads in all; amps is read, never written.
+    reads in all; amps is read, never written.  fwht_entry_of_two_values
+    follows the same path without the array when amps holds two values.
     """
     values = amps
     while values.size > 1:
@@ -66,6 +68,27 @@ def fwht_entry(amps, index):
         values = combine(pairs[:, 0], pairs[:, 1])
         index >>= 1
     return values[0]
+
+
+def fwht_entry_of_two_values(size, common, odd, position, index):
+    """fwht_entry(amps, index) for size amps that hold common, but odd at position.
+
+    Every stage of fwht_entry's path keeps such an array: the pairs without
+    the odd entry all give combine(common, common), and the pair holding it,
+    now at position >> 1, gives combine(odd, common) or combine(common, odd)
+    as position is even or odd.  These are the same additions and
+    subtractions, in the same operand order, as fwht_entry's, on Python
+    floats, which round as float64 does: bit-identical in O(log2 size)
+    operations, and no array is built.  size is a power of two, at least 2.
+    """
+    while size > 1:
+        combine = operator.sub if index & 1 else operator.add
+        odd = combine(common, odd) if position & 1 else combine(odd, common)
+        common = combine(common, common)
+        position >>= 1
+        index >>= 1
+        size >>= 1
+    return odd
 
 
 def parity_flip_inplace(amps, mask):

@@ -231,9 +231,9 @@ def _word_soundness_row():
         direct = statevec.uniform_state(n)
         for bit in letters:
             if bit:
-                direct = statevec.flip_sign_at(direct, alpha)
+                direct[alpha] = -direct[alpha]
             else:
-                direct = statevec.diffusion(direct)
+                statevec.diffusion(direct, out=direct)
         # no reduced length is -1, so the kernel runs through every letter
         _, length, _ = kernels.push_letters_until(letters, 0, -1)
         reduced = grover.realize_word(length, n, alpha)

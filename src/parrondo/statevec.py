@@ -2,8 +2,8 @@
 
 Every operator here (Hadamard layer, single-index sign flips, diffusion) is
 real orthogonal, so amplitudes are plain float64 arrays of length 2**n.
-Functions are pure at the interface: inputs are copied, outputs are fresh
-arrays.
+Functions never write their inputs and return fresh arrays, except where a
+caller passes diffusion an out= buffer, which may be the input itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def num_qubits(state) -> int:
 
 
 def _check_qubit_count(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not (1 <= n <= MAX_QUBITS):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not (1 <= n <= MAX_QUBITS):
         raise ValueError(f"qubit count must be an integer in [1, {MAX_QUBITS}], got {n!r}")
 
 
@@ -84,14 +84,18 @@ def flip_sign_at(state, y: int) -> np.ndarray:
     return out
 
 
-def diffusion(state) -> np.ndarray:
+def diffusion(state, out=None) -> np.ndarray:
     """Reflect about the uniform superposition: v -> 2|psi><psi|v - v.
 
-    With |psi> uniform this is elementwise 2*mean(v) - v.
+    With |psi> uniform this is elementwise 2*mean(v) - v.  The mean is
+    numpy's: the same pairwise sum, then the same division by the size,
+    without mean's Python wrapper.  The result goes into out when given, a
+    float64 array of the state's shape that may be the state itself.
     """
     arr = np.asarray(state, dtype=np.float64)
     num_qubits(arr)
-    return 2.0 * float(arr.mean()) - arr
+    mean = float(np.add.reduce(arr)) / arr.size
+    return np.subtract(2.0 * mean, arr, out=out)
 
 
 def probability_of(state, x: int) -> float:

@@ -65,6 +65,13 @@ def basis_state(n, x):
     return state
 
 
+def uniform_state_with_flip(n, y):
+    """The uniform state on n qubits, 2**(-n/2) everywhere, with entry y negated."""
+    state = np.full(1 << n, 2.0 ** (-n / 2.0))
+    state[y] = -state[y]
+    return state
+
+
 def dense_phase_oracle(n, alpha):
     """Diagonal (-1)**(x . alpha) matrix."""
     signs = [(-1.0) ** bin(x & alpha).count("1") for x in range(1 << n)]

@@ -207,6 +207,24 @@ def test_baseline_values_and_y_independence():
         bv.single_reflection_baseline(3, 1, 2)
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    n=st.integers(2, 14),
+    alpha_rank=st.integers(0, 2**14),
+    y_ranks=st.lists(st.integers(0, 2**13), min_size=1, max_size=20),
+)
+def test_baseline_is_the_built_states_transform_entry(n, alpha_rank, y_ranks):
+    # bit for bit the pipeline it replaced: the uniform state with entry y
+    # negated, built, then its one transform entry on alpha
+    alpha = 1 + alpha_rank % ((1 << n) - 1)
+    eligible = oracles.flip_candidates_popcount(n, alpha)
+    for rank in y_ranks:
+        y = int(eligible[rank % eligible.size])
+        state = oracles.uniform_state_with_flip(n, y)
+        want = statevec.hadamard_probability(state, alpha)
+        assert bv.single_reflection_baseline(n, alpha, y) == want
+
+
 def test_combined_game_beats_single_reflections():
     # strict separation from n=3 up; n=2 is the boundary where both equal 1/4
     for n in range(3, 11):
@@ -278,6 +296,6 @@ def test_draw_peak_memory_at_22_qubits():
 
 
 def test_baseline_peak_memory_at_22_qubits():
-    # one 32 MiB state negated in place, then the 24 MiB entry read; copying
-    # it through statevec.flip_sign_at holds two states, 64 MiB
-    assert _traced_peak(lambda: bv.single_reflection_baseline(22, 5, 1)) < 60 * 2**20
+    # the baseline follows its entry on two values; building the 32 MiB
+    # state and reading its entry peaked at 56 MiB
+    assert _traced_peak(lambda: bv.single_reflection_baseline(22, 5, 1)) < 2**20

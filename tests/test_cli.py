@@ -471,7 +471,9 @@ def test_grover_sweep_runs_each_round_once(capsys, monkeypatch):
     calls = []
     diffusion = statevec.diffusion
     monkeypatch.setattr(
-        statevec, "diffusion", lambda state: calls.append(1) or diffusion(state)
+        statevec,
+        "diffusion",
+        lambda state, out=None: calls.append(1) or diffusion(state, out=out),
     )
     top = grover.canonical_k(8) + 2
 
@@ -501,10 +503,11 @@ def test_grover_sweep_runs_each_round_once(capsys, monkeypatch):
     assert count == report["k"] == grover.canonical_k(8)
 
 
-def test_bv_reads_two_transform_entries(capsys, monkeypatch):
-    # the play and the baseline each read one transform entry (both start
-    # from the uniform state instead of transforming |0...0>); only
-    # --samples builds a full transform, of trial 0's state
+def test_bv_reads_one_transform_entry(capsys, monkeypatch):
+    # the play reads one transform entry (it starts from the uniform state
+    # instead of transforming |0...0>), and the baseline follows that entry's
+    # path on its state's two values; only --samples builds a full
+    # transform, of trial 0's state
     calls = []
 
     def counted(name):
@@ -516,13 +519,14 @@ def test_bv_reads_two_transform_entries(capsys, monkeypatch):
 
         return wrapper
 
-    for name in ("fwht_inplace", "fwht_entry"):
+    for name in ("fwht_inplace", "fwht_entry", "fwht_entry_of_two_values"):
         monkeypatch.setattr(kernels, name, counted(name))
     argv = ["bv", "-n", "6", "--alpha", "5", "--trials", "1"]
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls.count("fwht_inplace") == 0
-    assert calls.count("fwht_entry") == 2
+    assert calls.count("fwht_entry") == 1
+    assert calls.count("fwht_entry_of_two_values") == 1
     calls.clear()
     code, _, _ = run_cli(capsys, *argv, "--samples", "10")
     assert code == 0
@@ -554,7 +558,9 @@ def test_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, ar
     calls = []
     diffusion = statevec.diffusion
     monkeypatch.setattr(
-        statevec, "diffusion", lambda state: calls.append(1) or diffusion(state)
+        statevec,
+        "diffusion",
+        lambda state, out=None: calls.append(1) or diffusion(state, out=out),
     )
     if source == "flag":
         argv = [*argv, "--seed", "-1"]

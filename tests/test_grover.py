@@ -113,6 +113,53 @@ def test_sweep_success_equals_realize_word_exactly(n):
             )
 
 
+@pytest.mark.parametrize("n", range(2, 15))
+def test_sweep_success_is_the_pure_operators_rounds(n):
+    # the rounds share one buffer; the pure operators copy at every letter,
+    # with the same float operations, so every value is equal
+    k_max = grover.canonical_k(n) + 2
+    for alpha in {0, (1 << n) - 1, (1 << n) // 3}:
+        state = statevec.uniform_state(n)
+        want = [statevec.probability_of(state, alpha)]
+        for _ in range(k_max):
+            state = statevec.diffusion(statevec.flip_sign_at(state, alpha))
+            want.append(statevec.probability_of(state, alpha))
+        assert grover.sweep_success(n, alpha, k_max) == want
+        word = grover.realize_word(2 * k_max + 1, n, alpha)
+        odd = statevec.flip_sign_at(state, alpha)
+        assert np.array_equal(word.view(np.uint64), odd.view(np.uint64))
+
+
+def test_realize_word_results_never_alias():
+    words = [grover.realize_word(length, 4, 3) for length in (0, 1, 2, 5, 5)]
+    kept = [word.copy() for word in words]
+    for first, second in itertools.combinations(words, 2):
+        assert not np.shares_memory(first, second)
+    grover.realize_word(6, 4, 3)
+    grover.sweep_success(4, 3, 3)
+    for word, keep in zip(words, kept):
+        assert np.array_equal(word, keep)
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 7])
+@pytest.mark.parametrize("alpha", [-1, -8, 8, 9])
+def test_bad_alpha_raises_before_any_round(monkeypatch, k_max, alpha):
+    # an in-place flip at a negative index would wrap round instead
+    calls = []
+    diffusion = statevec.diffusion
+    monkeypatch.setattr(
+        statevec,
+        "diffusion",
+        lambda state, out=None: calls.append(1) or diffusion(state, out=out),
+    )
+    with pytest.raises(ValueError, match="out of range"):
+        grover.sweep_success(3, alpha, k_max)
+    for length in (2 * k_max, 2 * k_max + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            grover.realize_word(length, 3, alpha)
+    assert calls == []
+
+
 def test_sweep_success_validation():
     (only,) = grover.sweep_success(3, 5, 0)
     assert abs(only - 0.125) < ATOL
@@ -120,6 +167,9 @@ def test_sweep_success_validation():
         grover.sweep_success(3, 5, -1)
     with pytest.raises(ValueError):
         grover.sweep_success(3, 8, 2)
+    for qubits in (True, np.True_):
+        with pytest.raises(ValueError, match="qubit count"):
+            grover.sweep_success(qubits, 0, 1)
 
 
 def test_canonical_k_values():

@@ -62,6 +62,27 @@ def test_fwht_entry_is_bit_identical_to_butterfly_loop(n, seed):
     assert np.array_equal(amps.view(np.uint64), keep.view(np.uint64))
 
 
+@settings(deadline=None, max_examples=200)
+@example(n=1, seed=0)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_fwht_entry_of_two_values_is_fwht_entry(n, seed):
+    # every entry of an array holding common everywhere but at one position,
+    # for common and odd of any sign and magnitude, signed zeros included
+    rng = np.random.default_rng(seed)
+    common, odd = (
+        rng.choice([0.0, -0.0, rng.standard_normal() * 10.0 ** rng.integers(-300, 301)])
+        for _ in range(2)
+    )
+    position = int(rng.integers(0, 1 << n))
+    amps = np.full(1 << n, common)
+    amps[position] = odd
+    for index in range(1 << n):
+        got = kernels.fwht_entry_of_two_values(1 << n, float(common), float(odd), position, index)
+        want = kernels.fwht_entry(amps, index)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+
+
 @settings(deadline=None, max_examples=300)
 @example(n=1, mask=0, seed=0)
 @example(n=12, mask=(1 << 12) - 1, seed=1)

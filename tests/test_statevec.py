@@ -33,9 +33,9 @@ def test_uniform_state_values():
     assert abs(np.linalg.norm(statevec.uniform_state(10)) - 1.0) < ATOL
 
 
-@pytest.mark.parametrize("n", [0, -1, 25])
+@pytest.mark.parametrize("n", [0, -1, 25, True, np.True_, 2.0])
 def test_uniform_state_rejects_bad_qubit_count(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit count"):
         statevec.uniform_state(n)
 
 
@@ -108,6 +108,22 @@ def test_diffusion_fixes_uniform_state():
 def test_diffusion_of_basis_state():
     got = statevec.diffusion(oracles.basis_state(2, 0))
     assert np.max(np.abs(got - [-0.5, 0.5, 0.5, 0.5])) < ATOL
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_diffusion_in_place_is_diffusion(n, seed):
+    # numpy's mean (its pairwise sum over the size), then 2m - v, bit for
+    # bit; without out the input is not written, with out it is the result
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-300, 301, size=1 << n)
+    keep = v.copy()
+    want = 2.0 * float(keep.mean()) - keep
+    got = statevec.diffusion(v)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(v.view(np.uint64), keep.view(np.uint64))
+    assert statevec.diffusion(v, out=v) is v
+    assert np.array_equal(v.view(np.uint64), want.view(np.uint64))
 
 
 def test_probability_of():
