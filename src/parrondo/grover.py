@@ -24,10 +24,13 @@ from . import kernels, statevec
 _STREAM_BLOCK = 1 << 14
 
 # Most first-block letters walked in one kernel call when plays are walked
-# together (about 10 B of working set a letter), and the fewest plays worth
-# it.  In-process at k = 4 on a 2-core Xeon (best of 1,000), 4 plays took
-# 92 us walked together and 119 us one by one; 1, 2 and 3 plays one by one
-# took 41, 66 and 91 us (48, 81 and 101 us before plays were walked together).
+# together (about 10 B of working set a letter), and the fewest plays walked
+# so.  In-process at k = 4 on a 2-core Xeon, 10^4 plays took 35, 30 and 35 ms
+# in chunks of 2^14, 2^15 and 2^16 letters; 2, 3, 4, 5 and 8 plays took
+# 153-211, 159-185, 157-158, 162-226 and 166-211 us walked together, 78-84,
+# 104-109, 140-153, 205-248 and 272-335 us one by one (best of 500, two
+# runs).  Longer rows cost kernels._child_rows more: at k = 19 (741 words)
+# 4 and 32 plays took 1.3 and 2.6 ms walked together, 0.2 and 1.6 ms alone.
 _CHUNK_LETTERS = 1 << 15
 _BATCH_PLAYS = 4
 
@@ -35,7 +38,8 @@ _BATCH_PLAYS = 4
 # keeps every stopping index as one float64, 8 B a play, and walks the plays
 # a chunk at a time: grover -n 4 --trials N peaks at 37, 38 and 44 MB of RSS
 # for N = 10^3, 2e5 and 10^6 (36, 41 and 59 MB when it kept a Python list),
-# and takes 8.5 s at 10^6 on a 2-core Xeon.
+# and takes 3.5-5.0 s at 10^6 on a 2-core Xeon (6.8-9.0 s when every play
+# re-seated a Generator).
 MAX_TRIALS = 10**6
 
 # Most Grover rounds the CLI runs for one command.  sweep_success keeps one
@@ -215,29 +219,33 @@ def _stopping_indices(target_length: int, trials: int, seed, letter_cap: int):
 
     A chunk covers the plays of up to _CHUNK_LETTERS letters of first
     blocks, less those that spend letter_cap letters without stopping.
-    Play i draws child i of the seed (kernels.seed_children).  With at least
+    Play i draws child i of the seed, in every chunk.  With at least
     _BATCH_PLAYS plays whose first block takes the per-letter walk (k below
-    20), each play of a chunk draws its first block from its own child's
-    stream as one row, and one kernels._letter_walk call walks all the rows.
-    A play that outruns its first block, about 1 in 100, is played again
-    from the start by _stopping_index on a Generator numpy builds for its
-    child, so it draws the same letters and stops at the same index.
-    Otherwise each play runs alone through _stopping_index.
+    20), kernels._child_rows computes each chunk's first-block rows, one per
+    play, from its child's seed words with no Generator built, and one
+    kernels._letter_walk call walks all the rows.  A play that outruns its
+    first block, about 1 in 100, is played again from the start by
+    _stopping_index on a Generator numpy builds for its child, so it draws
+    the same letters and stops at the same index.  Otherwise each play runs
+    alone through _stopping_index, on kernels.seed_children's Generators.
     """
     block = _block(target_length)
     plays = max(1, _CHUNK_LETTERS // block)
     batched = trials >= _BATCH_PLAYS and block < kernels._WORD_WALK
     size = min(block, letter_cap)
     words = -(-size // 8)
-    children = kernels.seed_children(seed)
+    if batched:
+        key = kernels._row_key(seed, words)
+    else:
+        children = kernels.seed_children(seed)
     for first in range(0, trials, plays):
-        rngs = itertools.islice(children, min(plays, trials - first))
+        count = min(plays, trials - first)
         if not batched:
+            rngs = itertools.islice(children, count)
             indices = [_stopping_index(rng, target_length, letter_cap) for rng in rngs]
             yield [index for index in indices if index is not None]
             continue
-        rows = np.concatenate([rng.bit_generator.random_raw(words) for rng in rngs])
-        rows = rows.reshape(-1, words)
+        rows = kernels._child_rows(key, first, count)
         used, _ = kernels._letter_walk(_letters(rows, size), 0, target_length)
         if size < letter_cap:
             for j in np.flatnonzero(used == 0).tolist():

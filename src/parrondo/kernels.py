@@ -2,7 +2,8 @@
 
 Random draws happen outside the kernels: each one maps pre-drawn inputs to a
 deterministic output, so seeded experiments reproduce bit for bit.
-seed_children hands out the seeded streams those draws come from.
+seed_children hands out the seeded streams those draws come from, and
+_child_rows the first raw words of many of those streams at once.
 
 The letter walk steps a uint64 word (8 letters) at a time on blocks of at
 least _WORD_WALK one-byte letters, and one letter at a time on the rest; the
@@ -256,7 +257,9 @@ def seed_children(seed):
     is hashed from SeedSequence(seed)'s pool, itself hashed by numpy once,
     in passes of 8, 16, 32, ... up to _CHILD_CHUNK children (_child_words);
     each hashed child then costs one PCG64 seeding in Python integers and
-    numpy's state setter.
+    numpy's state setter, a few us.  A caller that needs only each child's
+    first raw words takes them from _child_rows instead, with no Generator
+    re-seated.
     """
     for child in range(_NUMPY_CHILDREN):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
@@ -290,12 +293,14 @@ def _seed_key(seed):
     it, plus 4 times per seed word past the fourth.  seed is a non-negative
     integer, which numpy splits into 32-bit words, at least one.  All three
     arrays are uint32; hashmix's 9 constants come twice, as two equal rows.
+    numpy reads seed first, so a bad seed raises numpy's own error.
     """
+    pool = np.random.SeedSequence(seed).pool
     words = max(1, -(-operator.index(seed).bit_length() // 32))
     calls = 16 + 4 * max(0, words - 4)
     hash_const = _MIX_INIT * pow(_MIX_MULT, calls, 1 << 32) & _MASK32
     mix = np.array(_MIX_STEPS * 2, np.uint32).reshape(2, 9) * hash_const
-    return np.random.SeedSequence(seed).pool, mix, np.array(_OUT_CONSTS, np.uint32)
+    return pool, mix, np.array(_OUT_CONSTS, np.uint32)
 
 
 def _child_words(key, first, count):
@@ -330,3 +335,68 @@ def _child_words(key, first, count):
     mixer ^= mixer >> 16
     # uint64 word j is uint32 words 2j (low) and 2j + 1
     return mixer.astype("<u4", copy=False).reshape(count, 8).view("<u8")
+
+
+def _row_key(seed, words):
+    """_child_rows' key: the seed's (_seed_key) and PCG64's jump to draws 1..words.
+
+    A child with seed words i1, i0, q1, q0 (i = i1:i0, q = q1:q0) seats
+    PCG64 at s_0 = (inc + i) M + inc, inc = 2q + 1 and M = _PCG64_MULT, as
+    seed_children does, and draw t reads s_t = A_t s_0 + C_t inc, A_t =
+    M**t and C_t = 1 + M + ... + M**(t-1), all mod 2**128 (Brown 1994).  As
+    A_t + C_t = C_(t+1), that is s_t = A i + 2 (A + C) q + A + C with A, C =
+    A_(t+1), C_(t+1).  The jump is float64, jump[d, r, t-1] the 32-bit digit
+    d of draw t's coefficient on the child's 16-bit limb r: A * 2**(16 b) or
+    2 (A + C) * 2**(16 b) mod 2**128 for limb b of i or q, and A + C on
+    row 16, a limb of 1.  About 40 us plus 2 us a word, built once a call.
+    """
+    coefficients, constants = bytearray(), bytearray()
+    a, c = _PCG64_MULT, 1  # A_1, C_1
+    for _ in range(words):
+        a, c = a * _PCG64_MULT & _MASK128, c + a & _MASK128
+        both = a + c & _MASK128
+        coefficients += a.to_bytes(16, "little") + (2 * both & _MASK128).to_bytes(16, "little")
+        constants += both.to_bytes(16, "little")
+    limbs = np.frombuffer(coefficients, "<u2").reshape(words, 2, 8)
+    # the coefficients times 2**(16 b), b = 0..7, as limbs shifted up by b
+    shift = np.arange(8) - np.arange(8)[:, None]
+    shifted = np.ascontiguousarray(limbs[:, :, shift.clip(0)] * (shift >= 0), "<u2")
+    # a child's uint64 words come high first: i1 holds i's limbs 4..7
+    on_limbs = shifted.view("<u4").reshape(words, 2, 2, 4, 4)[:, :, ::-1]
+    jump = np.empty((4, 17, words))
+    jump[:, :16] = on_limbs.reshape(words, 16, 4).transpose(2, 1, 0)
+    jump[:, 16] = np.frombuffer(constants, "<u4").reshape(words, 4).T
+    return _seed_key(seed), jump
+
+
+def _child_rows(key, first, count):
+    """The first raw words of children first, ..., first + count - 1 of a seed, one row each.
+
+    key is _row_key(seed, words), and every child is below 2**64.  Row i is
+    default_rng(SeedSequence(seed, spawn_key=(first + i,))).bit_generator
+    .random_raw(words) bit for bit, and no Generator is built.  The
+    children's seed words (_child_words), as 16-bit limbs, times the jump
+    give every state's four 32-bit digits in one float64 matmul per digit,
+    exact because each entry is a sum of 17 products of non-negative
+    integers below 2**48, so every partial sum, in any order, is below
+    2**53.  The digits are carried into each state's words, hi and lo, and
+    PCG64's output (XSL-RR, O'Neill 2014) rotates hi ^ lo right by hi >> 58.
+    """
+    seed_key, jump = key
+    limbs = np.ones((count, 17))
+    limbs[:, :16] = _child_words(seed_key, first, count).view("<u2")
+    lo, mid, hi, top = (limbs @ jump).astype(np.uint64)
+    # carried in place into each state's words: lo (digits 0 and 1) and hi
+    mid += lo >> np.uint64(32)
+    hi += mid >> np.uint64(32)
+    hi += top << np.uint64(32)
+    lo &= np.uint64(_MASK32)
+    lo |= mid << np.uint64(32)
+    turn = hi >> np.uint64(58)
+    lo ^= hi
+    rows = lo >> turn
+    np.negative(turn, out=turn)
+    turn &= np.uint64(63)
+    lo <<= turn
+    rows |= lo
+    return rows

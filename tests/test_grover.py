@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -426,6 +427,8 @@ def _batched_calls(draw):
 
 @settings(deadline=None, max_examples=120)
 @example(call=(4, 114, 1, None))  # a full chunk of 113 plays and one more
+@example(call=(4, 231, 2, None))  # two full chunks and a last one of 5 plays
+@example(call=(4, grover._BATCH_PLAYS, 8, None))  # the fewest plays walked together
 @example(call=(4, 1000, 101, 289))  # outran plays cut one letter later
 @example(call=(1, 1025, 7, None))  # 512-play chunks of 64 letters
 @example(call=(19, 11, 3, None))  # 5 plays of 5,928 letters a chunk
@@ -436,6 +439,25 @@ def test_batched_plays_stop_where_each_play_alone_stops(call):
     target_k, trials, seed, cap = call
     got = grover.waiting_time_stats(target_k, trials, seed, letter_cap=cap)
     _same_stats(got, _per_play_stats(target_k, trials, seed, cap))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "7"])
+@pytest.mark.parametrize(
+    "target_k, trials",
+    [(2, grover._BATCH_PLAYS - 1), (2, grover._BATCH_PLAYS), (19, grover._BATCH_PLAYS)],
+)
+def test_a_bad_seed_raises_numpys_error_before_any_play(monkeypatch, seed, target_k, trials):
+    # plays alone, and plays walked together on kernels._child_rows' rows
+    with pytest.raises(Exception) as native:
+        np.random.SeedSequence(seed, spawn_key=(0,))
+
+    def refuse(*args):
+        raise AssertionError("a play was walked")
+
+    monkeypatch.setattr(kernels, "push_letters_until", refuse)
+    monkeypatch.setattr(kernels, "_letter_walk", refuse)
+    with pytest.raises(native.type, match=f"^{re.escape(str(native.value))}$"):
+        grover.waiting_time_stats(target_k, trials, seed=seed)
 
 
 @pytest.mark.parametrize(

@@ -328,6 +328,32 @@ def test_one_pass_hashes_each_child_as_numpy_does(first):
     assert got.tolist() == [_numpy_words(2**128, first + i) for i in range(10)]
 
 
+# first-block rows walked letter by letter hold fewer than _WORD_WALK letters
+_LONGEST_ROW = kernels._WORD_WALK // 8
+
+
+@settings(deadline=None, max_examples=200)
+@example(seed=0, first=0, count=4, words=1)  # children 0-3, which seed_children builds
+@example(seed=2**32 - 1, first=2**32 - 2, count=3, words=8)  # one- and two-word keys
+@example(seed=2**32 + 1, first=5, count=2, words=_LONGEST_ROW)
+@example(seed=2**300, first=2**64 - 3, count=3, words=_LONGEST_ROW)  # the last child
+@given(
+    seed=st.integers(0, 2**300),
+    first=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 5),
+    words=st.integers(1, _LONGEST_ROW),
+)
+def test_child_rows_are_numpys_spawned_raw_draws(seed, first, count, words):
+    count = min(count, 2**64 - first)
+    got = kernels._child_rows(kernels._row_key(seed, words), first, count)
+    want = [
+        np.random.default_rng(_numpy_child(seed, first + i)).bit_generator.random_raw(words)
+        for i in range(count)
+    ]
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert got.tolist() == [row.tolist() for row in want]
+
+
 def _hash_passes(monkeypatch, seed, children):
     passes = []
     child_words = kernels._child_words
