@@ -42,10 +42,12 @@ _BATCH_PLAYS = 4
 # re-seated a Generator).
 MAX_TRIALS = 10**6
 
-# Most Grover rounds the CLI runs for one command.  sweep_success keeps one
-# float per round, about 32 B: grover -n 2 --strategy k=1000000 --trials 1
-# --letter-cap 10000000 peaks at 75 MB of RSS against 36 MB at k=1, and takes
-# about 8 s on a 2-core Xeon (14 s when every round built two fresh arrays).
+# Most Grover rounds the CLI runs for one command.  It bounds the memory of
+# the rounds, about 32 B each in sweep_success, not the plays' run time:
+# grover -n 2 --strategy k=1000000 --trials 1 --letter-cap 10000000 peaks at
+# 75 MB of RSS against 36 MB at k=1 and takes 5-8 s on a 2-core Xeon (14 s
+# when every round built two fresh arrays), but a play at k draws about 4k^2
+# letters (default cap 80k^2) at about 3e8 a second: hours a play at k=10^6.
 MAX_ROUNDS = 10**6
 
 __all__ = [
@@ -217,35 +219,30 @@ def _stopping_index(
 def _stopping_indices(target_length: int, trials: int, seed, letter_cap: int):
     """Yield the stopping indices of the plays that stop, in play order, a chunk at a time.
 
-    A chunk covers the plays of up to _CHUNK_LETTERS letters of first
-    blocks, less those that spend letter_cap letters without stopping.
-    Play i draws child i of the seed, in every chunk.  With at least
-    _BATCH_PLAYS plays whose first block takes the per-letter walk (k below
-    20), kernels._child_rows computes each chunk's first-block rows, one per
-    play, from its child's seed words with no Generator built, and one
-    kernels._letter_walk call walks all the rows.  A play that outruns its
-    first block, about 1 in 100, is played again from the start by
+    Play i draws child i of the seed.  Fewer than _BATCH_PLAYS plays, or
+    plays whose first block takes the word walk (k from 20 up), run alone
+    through _stopping_index, one chunk per play, on kernels.seed_children's
+    Generators.  Otherwise a chunk covers the plays of up to _CHUNK_LETTERS
+    letters of first blocks, less those that spend letter_cap letters
+    without stopping: kernels._child_rows computes its first-block rows, one
+    per play, from its children's seed words with no Generator built, and
+    one kernels._letter_walk call walks all the rows.  A play that outruns
+    its first block, about 1 in 100, is played again from the start by
     _stopping_index on a Generator numpy builds for its child, so it draws
-    the same letters and stops at the same index.  Otherwise each play runs
-    alone through _stopping_index, on kernels.seed_children's Generators.
+    the same letters and stops at the same index.  Both paths check the seed
+    before the first play, numpy's own check first.
     """
     block = _block(target_length)
-    plays = max(1, _CHUNK_LETTERS // block)
-    batched = trials >= _BATCH_PLAYS and block < kernels._WORD_WALK
+    if trials < _BATCH_PLAYS or block >= kernels._WORD_WALK:
+        for rng in itertools.islice(kernels.seed_children(seed), trials):
+            index = _stopping_index(rng, target_length, letter_cap)
+            yield [] if index is None else [index]
+        return
     size = min(block, letter_cap)
-    words = -(-size // 8)
-    if batched:
-        key = kernels._row_key(seed, words)
-    else:
-        children = kernels.seed_children(seed)
+    key = kernels._row_key(seed, -(-size // 8))
+    plays = _CHUNK_LETTERS // block
     for first in range(0, trials, plays):
-        count = min(plays, trials - first)
-        if not batched:
-            rngs = itertools.islice(children, count)
-            indices = [_stopping_index(rng, target_length, letter_cap) for rng in rngs]
-            yield [index for index in indices if index is not None]
-            continue
-        rows = kernels._child_rows(key, first, count)
+        rows = kernels._child_rows(key, first, min(plays, trials - first))
         used, _ = kernels._letter_walk(_letters(rows, size), 0, target_length)
         if size < letter_cap:
             for j in np.flatnonzero(used == 0).tolist():
@@ -303,15 +300,17 @@ def waiting_time_stats(
 ) -> WaitingTimeStats:
     """Distribution of the stopping index over independent seeded plays.
 
-    Play i draws child i of the seed, SeedSequence(seed).spawn(trials)[i],
-    and stops where _stopping_index stops it on that child's stream; short
-    plays are walked a chunk at a time (_stopping_indices).  Plays that hit
-    the letter cap, default_letter_cap(target_k) unless given, are counted
-    in cap_exceeded and excluded from the moments.  A given cap must be
-    >= 1.  The state vector never enters: waiting times depend only on the
-    letter stream.  The stopping indices are kept in play order in one
-    float64 array, and mean and variance are numpy's mean and var of it,
-    the variance taken in place.
+    seed is a non-negative integer; any other seed raises numpy's error, or
+    TypeError for a sequence, before the first play.  Play i draws child i
+    of the seed, SeedSequence(seed).spawn(trials)[i], and stops where
+    _stopping_index stops it on that child's stream; short plays are walked
+    a chunk at a time (_stopping_indices).  Plays that hit the letter cap,
+    default_letter_cap(target_k) unless given, are counted in cap_exceeded
+    and excluded from the moments.  A given cap must be >= 1.  The state
+    vector never enters: waiting times depend only on the letter stream.
+    The stopping indices are kept in play order in one float64 array, and
+    mean and variance are numpy's mean and var of it, the variance taken in
+    place.
     """
     level = _level(target_k)
     if trials < 1:

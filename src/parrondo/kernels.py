@@ -1,9 +1,11 @@
 """Hot numeric kernels, vectorised with numpy.
 
-Random draws happen outside the kernels: each one maps pre-drawn inputs to a
-deterministic output, so seeded experiments reproduce bit for bit.
-seed_children hands out the seeded streams those draws come from, and
-_child_rows the first raw words of many of those streams at once.
+The walk, transform and flip kernels draw nothing: each maps its inputs to a
+deterministic output, so seeded experiments reproduce bit for bit.  The
+random streams come from here too: seed_children hands out child 0, 1, 2, ...
+of a seed as numpy's spawned Generators, and _child_rows the first raw words
+of many of those children at once, all computed from numpy's SeedSequence
+and PCG64 as numpy computes them.
 
 The letter walk steps a uint64 word (8 letters) at a time on blocks of at
 least _WORD_WALK one-byte letters, and one letter at a time on the rest; the
@@ -13,6 +15,7 @@ one row per play.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -233,15 +236,12 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 # hashmix's constant moves by one multiply per call: after t calls from c it
 # is c * mult**t, so the constants of a run of calls are known up front
-_MIX_STEPS = tuple(pow(_MIX_MULT, t, 1 << 32) for t in range(9))
+_MIX_STEPS = tuple(pow(_MIX_MULT, t, 1 << 32) for t in range(5))
 _OUT_CONSTS = tuple(_OUT_INIT * pow(_OUT_MULT, t, 1 << 32) & _MASK32 for t in range(9))
 
-# Children built by numpy, and most children hashed in one pass.  A pass
-# costs about 15 us and the seed's pool about 7 us, a numpy-built child about
-# 13 us and a hashed one about 2.5 us, so hashing pays from a few children
-# on.  Passes double from 8 children, so a caller with a few plays hashes a
-# few; a pass of 256 takes about 65 us and holds about 70 kB of Python ints.
-_NUMPY_CHILDREN = 4
+# Children hashed in one pass.  A pass of 256 takes about 65 us and holds
+# about 70 kB of Python ints; a hashed child then costs about 2.5 us, against
+# about 13 us for one numpy builds.
 _CHILD_CHUNK = 256
 
 
@@ -251,27 +251,26 @@ def seed_children(seed):
     Child i draws the stream of default_rng(SeedSequence(seed,
     spawn_key=(i,))), which is SeedSequence(seed).spawn(n)[i]'s, so a
     caller is done with child i before it asks for the next.  Numpy builds
-    the first _NUMPY_CHILDREN children: a caller with a few plays pays what
-    numpy's constructor costs, and a bad seed raises numpy's own error before
-    any play.  The last of them is then re-seated at each later child, which
-    is hashed from SeedSequence(seed)'s pool, itself hashed by numpy once,
-    in passes of 8, 16, 32, ... up to _CHILD_CHUNK children (_child_words);
-    each hashed child then costs one PCG64 seeding in Python integers and
-    numpy's state setter, a few us.  A caller that needs only each child's
-    first raw words takes them from _child_rows instead, with no Generator
+    child 0 only, so a bad seed raises numpy's own error, and a sequence
+    seed, which numpy takes, then raises TypeError, before child 0 is handed
+    out.  Its Generator is re-seated at each later child, which is hashed
+    from SeedSequence(seed)'s pool, itself hashed by numpy once, in passes
+    of _CHILD_CHUNK children (_child_words); each hashed child then costs
+    one PCG64 seeding in Python integers and numpy's state setter, a few us.
+    Every child is below 2**32.  A caller that needs only each child's first
+    raw words takes them from _child_rows instead, with no Generator
     re-seated.
     """
-    for child in range(_NUMPY_CHILDREN):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
-        yield rng
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    operator.index(seed)
+    yield rng
     key = _seed_key(seed)
     bit_generator = rng.bit_generator
     # numpy's setter reads the values out, so one dict serves every child
     pcg64 = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg64, "has_uint32": 0, "uinteger": 0}
-    first, count = _NUMPY_CHILDREN, 8
-    while True:
-        for w0, w1, w2, w3 in _child_words(key, first, count).tolist():
+    for first in itertools.count(1, _CHILD_CHUNK):
+        for w0, w1, w2, w3 in _child_words(key, first, _CHILD_CHUNK).tolist():
             # PCG64's seeding: state s from the first two words, stream q
             # from the last two, then from 0 one LCG step, s added, and one
             # more, with increment 2q + 1
@@ -280,56 +279,50 @@ def seed_children(seed):
             pcg64["inc"] = inc
             bit_generator.state = state
             yield rng
-        first += count
-        count = min(2 * count, _CHILD_CHUNK)
 
 
 def _seed_key(seed):
     """SeedSequence(seed)'s pool, then hashmix's and generate_state's next constants.
 
     A spawned SeedSequence pads the seed's words to the pool size and mixes
-    the spawn words in last, so its pool before them is SeedSequence(seed)'s.
+    the spawn word in last, so its pool before it is SeedSequence(seed)'s.
     By then hashmix has run 16 times, 4 to fill the pool and 12 to cross-mix
     it, plus 4 times per seed word past the fourth.  seed is a non-negative
     integer, which numpy splits into 32-bit words, at least one.  All three
-    arrays are uint32; hashmix's 9 constants come twice, as two equal rows.
-    numpy reads seed first, so a bad seed raises numpy's own error.
+    arrays are uint32; hashmix's 5 constants, one spawn word's, come twice,
+    as two equal rows.  numpy reads seed first, so a bad seed raises numpy's
+    own error, and a sequence seed, which numpy takes, then raises TypeError.
     """
     pool = np.random.SeedSequence(seed).pool
     words = max(1, -(-operator.index(seed).bit_length() // 32))
     calls = 16 + 4 * max(0, words - 4)
     hash_const = _MIX_INIT * pow(_MIX_MULT, calls, 1 << 32) & _MASK32
-    mix = np.array(_MIX_STEPS * 2, np.uint32).reshape(2, 9) * hash_const
+    mix = np.array(_MIX_STEPS * 2, np.uint32).reshape(2, 5) * hash_const
     return pool, mix, np.array(_OUT_CONSTS, np.uint32)
 
 
 def _child_words(key, first, count):
     """The four uint64 seed words of children first, ..., first + count - 1 of a seed.
 
-    key is the seed's, from _seed_key, and every child is below 2**64.  Row
-    i is SeedSequence(seed, spawn_key=(first + i,)).generate_state(4,
-    np.uint64): the child's 32-bit words, low first (one for a child below
-    2**32, two above), are mixed into the pool as SeedSequence.mix_entropy
+    key is the seed's, from _seed_key.  Row i is SeedSequence(seed,
+    spawn_key=(first + i,)).generate_state(4, np.uint64): the child, one
+    32-bit spawn word, is mixed into the pool as SeedSequence.mix_entropy
     does, and the pool is hashed out as generate_state does, all children at
-    once in uint32 arrays, which wrap as the hash does.  Hashmix call d of a
-    child word mixes into pool word d, and output word k is hashed from pool
-    word k mod 4, so each child is one (2, 4) block throughout: its pool
-    twice, then its 8 output words in order.
+    once in uint32 arrays, which wrap as the hash does.  Hashmix call d of
+    the spawn word mixes into pool word d, and output word k is hashed from
+    pool word k mod 4, so each child is one (2, 4) block throughout: its
+    pool twice, then its 8 output words in order.  A child at 2**32 or above
+    would take a second spawn word, and raises ValueError.
     """
+    if first + count > 1 << 32:
+        raise ValueError(f"children must be below 2**32, got up to {first + count - 1}")
     pool, mix, out = key
-    rest = np.arange(first, first + count, dtype=np.uint64)
-    mixer = pool
-    for j in range(max(1, -(-(first + count - 1).bit_length() // 32))):
-        if j:
-            rest >>= np.uint64(32)
-        value = rest.astype(np.uint32)[:, None, None] ^ mix[:, 4 * j : 4 * j + 4]
-        value *= mix[:, 4 * j + 1 : 4 * j + 5]
-        value ^= value >> 16
-        value *= np.uint32(_MIX_R)
-        mixed = np.subtract(mixer * np.uint32(_MIX_L), value, out=value)
-        mixed ^= mixed >> 16
-        # a child below 2**(32 * j) has no word j, and keeps its mixer
-        mixer = np.where(rest[:, None, None] > 0, mixed, mixer) if j else mixed
+    value = np.arange(first, first + count, dtype=np.uint32)[:, None, None] ^ mix[:, :4]
+    value *= mix[:, 1:]
+    value ^= value >> 16
+    value *= np.uint32(_MIX_R)
+    mixer = np.subtract(pool * np.uint32(_MIX_L), value, out=value)
+    mixer ^= mixer >> 16
     mixer ^= out[:8].reshape(2, 4)
     mixer *= out[1:].reshape(2, 4)
     mixer ^= mixer >> 16
@@ -349,6 +342,7 @@ def _row_key(seed, words):
     d of draw t's coefficient on the child's 16-bit limb r: A * 2**(16 b) or
     2 (A + C) * 2**(16 b) mod 2**128 for limb b of i or q, and A + C on
     row 16, a limb of 1.  About 40 us plus 2 us a word, built once a call.
+    _seed_key checks seed, numpy's own check first.
     """
     coefficients, constants = bytearray(), bytearray()
     a, c = _PCG64_MULT, 1  # A_1, C_1
@@ -372,7 +366,8 @@ def _row_key(seed, words):
 def _child_rows(key, first, count):
     """The first raw words of children first, ..., first + count - 1 of a seed, one row each.
 
-    key is _row_key(seed, words), and every child is below 2**64.  Row i is
+    key is _row_key(seed, words), and every child is below 2**32, as
+    _child_words requires, or ValueError is raised.  Row i is
     default_rng(SeedSequence(seed, spawn_key=(first + i,))).bit_generator
     .random_raw(words) bit for bit, and no Generator is built.  The
     children's seed words (_child_words), as 16-bit limbs, times the jump

@@ -460,6 +460,20 @@ def test_a_bad_seed_raises_numpys_error_before_any_play(monkeypatch, seed, targe
         grover.waiting_time_stats(target_k, trials, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [[1, 2], (1, 2)])
+@pytest.mark.parametrize("target_k, trials", [(2, 1), (2, 3), (2, 4), (2, 40), (20, 1), (20, 5)])
+def test_a_sequence_seed_raises_type_error_before_any_play(monkeypatch, seed, target_k, trials):
+    # numpy takes a sequence of words as a seed, but plays alone and plays
+    # walked together both refuse it, at every play count
+    def refuse(*args):
+        raise AssertionError("a play was walked")
+
+    monkeypatch.setattr(kernels, "push_letters_until", refuse)
+    monkeypatch.setattr(kernels, "_letter_walk", refuse)
+    with pytest.raises(TypeError):
+        grover.waiting_time_stats(target_k, trials, seed=seed)
+
+
 @pytest.mark.parametrize(
     "target_k, size",
     [(1, 64), (4, 4 * 8 * 9), (16, 4 * 32 * 33), (72, grover._STREAM_BLOCK)],

@@ -312,20 +312,35 @@ def _numpy_words(seed, child):
 @example(seed=2**128 - 1, child=1)  # four seed words: the pool's size
 @example(seed=2**128, child=1)  # five: one hashed in after the cross-mix
 @example(seed=2**200, child=2**32 - 1)
-@example(seed=5, child=2**32)  # a two-word spawn key
-@example(seed=2**256, child=2**64 - 1)  # nine seed words; the last child
-@given(seed=st.integers(0, 2**300), child=st.integers(0, 2**64 - 1))
+@example(seed=2**256, child=2**32 - 1)  # nine seed words; the last child
+@given(seed=st.integers(0, 2**300), child=st.integers(0, 2**32 - 1))
 def test_child_words_are_numpys_spawned_seed_words(seed, child):
     got = kernels._child_words(kernels._seed_key(seed), child, 1)
     assert got.tolist() == [_numpy_words(seed, child)]
 
 
-@pytest.mark.parametrize("first", [0, 2**32 - 5, 2**64 - 10])
+@pytest.mark.parametrize("first", [0, 2**32 - 5])
 def test_one_pass_hashes_each_child_as_numpy_does(first):
-    # one- and two-word spawn keys in one pass, and a pass ending at 2**64 - 1
+    # a pass from child 0, and a pass ending at 2**32 - 1, the last child
+    count = min(10, 2**32 - first)
     key = kernels._seed_key(2**128)
-    got = kernels._child_words(key, first, 10)
-    assert got.tolist() == [_numpy_words(2**128, first + i) for i in range(10)]
+    got = kernels._child_words(key, first, count)
+    assert got.tolist() == [_numpy_words(2**128, first + i) for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda key, rows: kernels._child_words(key, 2**32, 1),
+        lambda key, rows: kernels._child_words(key, 2**32 - 9, 10),
+        lambda key, rows: kernels._child_rows(rows, 2**32 - 1, 2),
+    ],
+    ids=["words of child 2**32", "words of a pass across it", "rows of a pass across it"],
+)
+def test_children_stop_below_2_to_the_32(draw):
+    # child 2**32 would take a second spawn word, which no caller reaches
+    with pytest.raises(ValueError, match=r"^children must be below 2\*\*32, got up to 4294967296$"):
+        draw(kernels._seed_key(5), kernels._row_key(5, 1))
 
 
 # first-block rows walked letter by letter hold fewer than _WORD_WALK letters
@@ -333,18 +348,18 @@ _LONGEST_ROW = kernels._WORD_WALK // 8
 
 
 @settings(deadline=None, max_examples=200)
-@example(seed=0, first=0, count=4, words=1)  # children 0-3, which seed_children builds
-@example(seed=2**32 - 1, first=2**32 - 2, count=3, words=8)  # one- and two-word keys
+@example(seed=0, first=0, count=4, words=1)  # children 0-3
+@example(seed=2**32 - 1, first=2**32 - 2, count=3, words=8)  # cut to the last two children
 @example(seed=2**32 + 1, first=5, count=2, words=_LONGEST_ROW)
-@example(seed=2**300, first=2**64 - 3, count=3, words=_LONGEST_ROW)  # the last child
+@example(seed=2**300, first=2**32 - 3, count=3, words=_LONGEST_ROW)  # the last child
 @given(
     seed=st.integers(0, 2**300),
-    first=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**32 - 1),
     count=st.integers(1, 5),
     words=st.integers(1, _LONGEST_ROW),
 )
 def test_child_rows_are_numpys_spawned_raw_draws(seed, first, count, words):
-    count = min(count, 2**64 - first)
+    count = min(count, 2**32 - first)
     got = kernels._child_rows(kernels._row_key(seed, words), first, count)
     want = [
         np.random.default_rng(_numpy_child(seed, first + i)).bit_generator.random_raw(words)
@@ -386,13 +401,14 @@ def _hash_passes(monkeypatch, seed, children):
     ],
 )
 def test_seed_children_draw_numpys_child_streams(monkeypatch, seed):
-    # the children checked are the first few, built by numpy and then hashed,
-    # and the two on each side of every hash pass, up to three at the cap;
-    # each is checked by its draws, a half-used uint32 word left behind each
-    # time, so nothing of one child's state leaks into the next
-    passes = _hash_passes(monkeypatch, seed, 4 * kernels._CHILD_CHUNK)
-    assert [count for _, count in passes][-3:] == [kernels._CHILD_CHUNK] * 3
-    checked = set(range(kernels._NUMPY_CHILDREN + 2))
+    # the children checked are 0, built by numpy, 1 and 2, hashed, and the
+    # two on each side of every hash pass of _CHILD_CHUNK children; each is
+    # checked by its draws, a half-used uint32 word left behind each time,
+    # so nothing of one child's state leaks into the next
+    chunk = kernels._CHILD_CHUNK
+    passes = _hash_passes(monkeypatch, seed, 4 * chunk)
+    assert passes == [(1 + i * chunk, chunk) for i in range(4)]
+    checked = {0, 1, 2}
     checked.update(first + side for first, _ in passes for side in (-1, 0))
     for child, rng in zip(range(max(checked) + 1), kernels.seed_children(seed)):
         if child in checked:
@@ -410,6 +426,30 @@ def test_seed_children_raise_numpys_error_for_a_bad_seed(seed):
         next(kernels.seed_children(seed))
     with pytest.raises(native.type):
         grover.waiting_time_stats(2, trials=3, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [[1, 2], (1, 2)])
+def test_seed_children_refuse_a_sequence_seed(seed):
+    # numpy takes a sequence of words as a seed; the hashed children do not
+    np.random.SeedSequence(seed, spawn_key=(0,))
+    with pytest.raises(TypeError):
+        next(kernels.seed_children(seed))
+
+
+@pytest.mark.parametrize("seed", [3, np.int64(3), 2**128])
+def test_plays_alone_draw_numpys_hashed_children(seed):
+    # k = 20's first blocks take the word walk, so each play runs alone on
+    # seed_children's Generators: child 0 built by numpy, 1-5 hashed
+    times = [
+        grover._stopping_index(np.random.default_rng(child), 40, 10**7)
+        for child in np.random.SeedSequence(seed).spawn(6)
+    ]
+    stats = grover.waiting_time_stats(20, trials=6, seed=seed)
+    assert (stats.mean, stats.variance, stats.max) == (
+        float(np.mean(times)),
+        float(np.var(times)),
+        max(times),
+    )
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3])
