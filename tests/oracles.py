@@ -259,6 +259,19 @@ def push_letters_loops(bits, level, target):
     return bits.size, level, False
 
 
+def noisy_oracle_negate_back(n, alpha, unflipped):
+    """The noisy oracle on the uniform state, built by two gathered negations.
+
+    The uniform state 2**(-n/2), every eligible amplitude (y . alpha = 1)
+    negated, then the unflipped ones negated back.
+    """
+    state = np.full(1 << n, 2.0 ** (-n / 2.0))
+    eligible = flip_candidates_popcount(n, alpha)
+    state[eligible] = -state[eligible]
+    state[unflipped] = -state[unflipped]
+    return state
+
+
 def bv_success_dense(n, alpha, unflipped):
     """Success of the noisy three-step sequence, via dense matrices only."""
     size = 1 << n

@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parrondo import bv, statevec
+from parrondo import bv, kernels, statevec
 
 import oracles
 
@@ -32,9 +33,9 @@ def test_flip_candidates_match_popcount_reference():
 
 
 def test_flip_candidates_peak_memory_at_22_qubits():
-    # the rank map runs in place on 2**21 int32 ranks (8 MiB) with one int32
-    # and two small uint8/bool temporaries, then widens to int64 (16 MiB):
-    # 24 MiB; on an int64 arange it peaks near 50 MiB, and
+    # the rank map runs in place on 2**21 int32 ranks (8 MiB), with its
+    # temporaries a 2**16-rank slice at a time, then widens to int64
+    # (16 MiB): 24 MiB; on an int64 arange it peaked near 50 MiB, and
     # oracles.flip_candidates_popcount's uint64 pass near 68 MiB
     tracemalloc.start()
     try:
@@ -70,8 +71,9 @@ def test_odd_n_successes_keep_their_rounding():
 
 
 def test_hadamard_probability_peak_memory_at_22_qubits():
-    # the first two stages' 2**21 and 2**20 kept values (16 + 8 MiB); the
-    # full transform copies the 32 MiB state and adds a 16 MiB stage buffer
+    # one 2**16-amplitude chunk's stages at a time (256 + 128 KiB), where
+    # halving the whole state kept 16 + 8 MiB; the full transform copies the
+    # 32 MiB state and adds a 16 MiB stage buffer
     state = statevec.uniform_state(22)
     peaks = {}
     for name, read in (
@@ -84,7 +86,7 @@ def test_hadamard_probability_peak_memory_at_22_qubits():
             _, peaks[name] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peaks["entry"] < 26 * 2**20
+    assert peaks["entry"] < 2**20
     assert peaks["full"] >= 48 * 2**20
 
 
@@ -118,6 +120,24 @@ def test_noisy_oracle_limits():
     # everything unflipped -> the oracle never fired
     nothing = bv.NoiseRealization(3, 5, bv.flip_candidates(3, 5))
     assert np.array_equal(bv.noisy_oracle(nothing), state)
+
+
+def test_noisy_oracle_equals_negating_the_unflipped_back():
+    # the scalar write of the uniform amplitude gives the bytes of negating
+    # the gathered unflipped amplitudes back, for every draw and both limits
+    for n in range(2, 7):
+        for alpha in range(1, 1 << n):
+            eligible = oracles.flip_candidates_popcount(n, alpha)
+            realizations = [
+                bv.NoiseRealization(n, alpha, eligible[:0]),
+                bv.NoiseRealization(n, alpha, eligible),
+            ]
+            for mode in bv.NOISE_MODES:
+                rng = np.random.default_rng(n * 64 + alpha)
+                realizations.append(bv.draw_realization(n, alpha, mode, rng))
+            for realization in realizations:
+                want = oracles.noisy_oracle_negate_back(n, alpha, realization.unflipped)
+                assert np.array_equal(bv.noisy_oracle(realization), want)
 
 
 def test_noisy_oracle_sign_pattern():
@@ -282,9 +302,30 @@ def _traced_peak(call):
 
 
 def test_play_peak_memory_at_22_qubits():
-    # the 32 MiB state, the 8 MiB unflipped indices and the 24 MiB entry
-    # read; an oracle that copies the uniform state peaks near 81 MiB
-    assert _traced_peak(lambda: bv.run_game(22, 5, bv.FIXED_HALF, seed=1)) < 72 * 2**20
+    # the 32 MiB state and the 8 MiB unflipped indices, plus under 1 MiB of
+    # scratch; negating a gathered copy of the unflipped amplitudes and
+    # halving the whole state for the entry peaked at 64 MiB, and an oracle
+    # that copies the uniform state near 81 MiB.  A small play first, so
+    # that numpy modules imported on first use are not counted
+    bv.run_game(4, 5, bv.FIXED_HALF, seed=1)
+    for alpha in (1, 5):
+        peak = _traced_peak(lambda: bv.run_game(22, alpha, bv.FIXED_HALF, seed=1))
+        assert peak < 41 * 2**20
+
+
+def test_eligible_peak_memory_at_22_qubits():
+    # slices of 2**16 ranks; mapping all 2**21 at once allocated 18 MiB
+    ranks = np.arange(1 << 21, dtype=np.int64)
+    assert _traced_peak(lambda: bv._eligible(5, ranks)) < 2**20
+
+
+def test_eligible_slices_join_up():
+    # with 8-rank slices the map crosses slices from n = 5 on
+    with mock.patch.object(kernels, "_CHUNK", 8):
+        for n in range(2, 9):
+            for alpha in range(1, 1 << n):
+                want = oracles.flip_candidates_popcount(n, alpha)
+                assert np.array_equal(bv.flip_candidates(n, alpha), want)
 
 
 def test_draw_peak_memory_at_22_qubits():

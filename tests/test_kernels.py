@@ -2,6 +2,7 @@
 
 import importlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,7 +60,24 @@ def test_fwht_entry_is_bit_identical_to_butterfly_loop(n, seed):
     want = oracles.fwht_butterfly_loop(amps)
     got = np.array([kernels.fwht_entry(amps, x) for x in range(1 << n)])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # with 8-amplitude chunks, every n >= 4 halves chunks, then their values;
+    # 128 chunks a call at n = 10, so 64 entries at most, drawn from the seed
+    xs = rng.permutation(1 << n)[:64]
+    with mock.patch.object(kernels, "_CHUNK", 8):
+        got = np.array([kernels.fwht_entry(amps, x) for x in xs.tolist()])
+    assert np.array_equal(got.view(np.uint64), want[xs].view(np.uint64))
     assert np.array_equal(amps.view(np.uint64), keep.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_fwht_entry_above_the_chunk_is_bit_identical_to_butterfly_loop(n):
+    # 2 and 4 chunks of 2**16 amplitudes, halved apart and then together
+    assert kernels._CHUNK == 1 << 16
+    rng = np.random.default_rng(n)
+    amps = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-300, 301, size=1 << n)
+    want = oracles.fwht_butterfly_loop(amps)
+    for x in (0, 1, (1 << n) - 1, int(rng.integers(1 << n))):
+        assert kernels.fwht_entry(amps, x).view(np.uint64) == want[x].view(np.uint64)
 
 
 @settings(deadline=None, max_examples=200)
