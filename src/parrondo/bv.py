@@ -47,6 +47,7 @@ __all__ = [
 
 
 def _check_alpha(n: int, alpha: int) -> None:
+    statevec._check_qubit_count(n)
     if not (0 <= alpha < (1 << n)):
         raise ValueError(f"alpha {alpha} out of range for {n} qubits")
     if alpha == 0:
@@ -145,19 +146,53 @@ def draw_realization(
 def noisy_oracle(realization: NoiseRealization) -> np.ndarray:
     """The unreliable phase oracle applied to the uniform state H|0...0>.
 
-    Builds that one state and negates in place every eligible amplitude
-    (kernels.parity_flip_inplace), which leaves each of them exactly the
-    negated uniform amplitude; the unflipped ones then get the uniform
-    amplitude back by one scalar scatter, with no gathered copy.  Amplitudes
-    at x with x . alpha = 0 are untouched, and the norm is preserved exactly
-    (every factor is +-1).  The scatter trusts the realization's indices to
-    be eligible, as its builders make them.
+    The whole 2**n state, as _oracle_amplitudes builds it: every eligible
+    amplitude is the negated uniform one, except the unflipped ones, and
+    the rest keep the uniform amplitude; the norm is preserved exactly
+    (every factor is +-1).  Plays never build it: run_game scores the same
+    amplitudes one chunk at a time.
     """
-    state = statevec.uniform_state(realization.qubits)
-    amplitude = state[0]  # index 0 is never eligible
-    kernels.parity_flip_inplace(state, realization.alpha)
-    state[realization.unflipped] = amplitude
-    return state
+    statevec._check_qubit_count(realization.qubits)
+    return _oracle_amplitudes(realization, 0, np.empty(1 << realization.qubits))
+
+
+def _oracle_amplitudes(realization: NoiseRealization, first: int, out: np.ndarray) -> np.ndarray:
+    """Write amplitudes first .. first + out.size - 1 of noisy_oracle's state into out.
+
+    out's size is a power of two and first a multiple of it.  out is filled
+    with the uniform amplitude, then negated where popcount(x & alpha) is
+    odd: over out's own index bits by kernels.parity_flip_inplace, and as a
+    whole when first's bits, disjoint from those, meet alpha an odd number
+    of times.  The unflipped indices in range, found by bisection, get the
+    uniform amplitude back by one scalar scatter.  The scatter trusts them
+    to be eligible, as the realization's builders make them.
+    """
+    amplitude = 2.0 ** (-realization.qubits / 2.0)  # uniform_state's value
+    out.fill(amplitude)
+    kernels.parity_flip_inplace(out, realization.alpha & (out.size - 1))
+    if (first & realization.alpha).bit_count() & 1:
+        np.negative(out, out=out)
+    unflipped = realization.unflipped
+    lo, hi = np.searchsorted(unflipped, (first, first + out.size))
+    out[unflipped[lo:hi] - first] = amplitude
+    return out
+
+
+def _success(realization: NoiseRealization) -> float:
+    """hadamard_probability(noisy_oracle(realization), alpha), bit for bit.
+
+    The state is built and halved one kernels._CHUNK-amplitude chunk at a
+    time in one buffer (kernels.fwht_entry_of_chunks), so no 2**n array is
+    held; the entry is then scaled and squared as hadamard_probability does.
+    """
+    n = realization.qubits
+    buffer = np.empty(min(1 << n, kernels._CHUNK))
+    chunks = (
+        _oracle_amplitudes(realization, first, buffer)
+        for first in range(0, 1 << n, buffer.size)
+    )
+    amplitude = kernels.fwht_entry_of_chunks(chunks, realization.alpha) * 2.0 ** (-n / 2.0)
+    return float(amplitude**2)
 
 
 def run_game(n: int, alpha: int, mode: str, seed: int | np.random.Generator) -> BvResult:
@@ -167,16 +202,16 @@ def run_game(n: int, alpha: int, mode: str, seed: int | np.random.Generator) -> 
     which the play draws from and advances.
 
     The first Hadamard layer maps |0...0> to the uniform state, which is
-    built directly; of the last layer only the amplitude on alpha is read
-    (statevec.hadamard_probability), so a play costs O(2**n), not a full
-    O(n 2**n) transform.
+    built directly; of the last layer only the amplitude on alpha is read,
+    and the oracle's state is built one chunk at a time as that entry halves
+    it (_success), so a play costs O(2**n) time, not a full O(n 2**n)
+    transform, and holds no 2**n array.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     realization = draw_realization(n, alpha, mode, rng)
-    state = noisy_oracle(realization)
-    return BvResult(statevec.hadamard_probability(state, alpha), realization)
+    return BvResult(_success(realization), realization)
 
 
 def exact_success(n: int, unflipped_count: int) -> float:
@@ -221,7 +256,5 @@ def independent_exhaustive_mean(n: int, alpha: int) -> float:
     weights = 1 << np.arange(candidates.size)
     total = 0.0
     for bits in range(1 << candidates.size):
-        realization = NoiseRealization(n, alpha, candidates[(bits & weights) != 0])
-        state = noisy_oracle(realization)
-        total += statevec.hadamard_probability(state, alpha)
+        total += _success(NoiseRealization(n, alpha, candidates[(bits & weights) != 0]))
     return total / (1 << candidates.size)

@@ -24,6 +24,7 @@ __all__ = [
     "BACKEND",
     "fwht_inplace",
     "fwht_entry",
+    "fwht_entry_of_chunks",
     "fwht_entry_of_two_values",
     "parity_flip_inplace",
     "ring_walk_wins",
@@ -55,30 +56,42 @@ def fwht_inplace(amps):
 
 # Amplitudes per chunk of fwht_entry, and ranks per slice of bv's rank map:
 # a chunk of 2**16 float64 is 512 KiB, and its first two stages' values
-# (256 + 128 KiB) are all the entry's scratch, at any size
+# (256 + 128 KiB) are all the entry's scratch, at any size; bv builds its
+# oracle's state one such chunk at a time
 _CHUNK = 1 << 16
 
 
 def fwht_entry(amps, index):
     """Entry index of the unnormalised Walsh-Hadamard transform of amps.
 
-    Bit-identical to fwht_inplace(amps)[index]: the stages run in the same
-    order (h = 1, 2, 4, ...), and each keeps only the half on the path to
-    index.  Stage s pairs neighbours of the kept values, which are the
-    entries whose low s bits equal index's; it keeps a + b where bit s of
-    index is 0 and a - b where it is 1, the same operation on the same
-    float64 operands as the full transform.  The first log2(_CHUNK) stages
-    never pair values of different aligned _CHUNK-amplitude chunks, so each
-    chunk is halved to one value on its own, and the later stages run on
-    those values: the same operands in the same order, with under 1 MiB of
-    scratch.  About 2 * amps.size element reads in all; amps is read, never
-    written.  fwht_entry_of_two_values follows the same path without the
-    array when amps holds two values.
+    Bit-identical to fwht_inplace(amps)[index]: fwht_entry_of_chunks over
+    amps' aligned _CHUNK-amplitude chunks (one chunk when amps is smaller),
+    with under 1 MiB of scratch.  About 2 * amps.size element reads in all;
+    amps is read, never written.  fwht_entry_of_two_values follows the same
+    path without the array when amps holds two values.
     """
-    if amps.size > _CHUNK:
-        amps = np.array([_halve(chunk, index) for chunk in amps.reshape(-1, _CHUNK)])
-        index >>= _CHUNK.bit_length() - 1
-    return _halve(amps, index)
+    return fwht_entry_of_chunks(amps.reshape(-1, min(amps.size, _CHUNK)), index)
+
+
+def fwht_entry_of_chunks(chunks, index):
+    """fwht_entry of the array whose consecutive chunks chunks yields, in index order.
+
+    The chunks are equal, a power of two in size, and read one at a time,
+    so a caller may build each in one buffer it refills.  The stages run in
+    the same order as the full transform's (h = 1, 2, 4, ...), and each
+    keeps only the half on the path to index.  Stage s pairs neighbours of
+    the kept values, which are the entries whose low s bits equal index's;
+    it keeps a + b where bit s of index is 0 and a - b where it is 1, the
+    same operation on the same float64 operands as the full transform.  The
+    first log2(chunk size) stages never pair values of different chunks, so
+    each chunk is halved to one value on its own, and the later stages run
+    on those values: the same operands in the same order.
+    """
+    values = []
+    for chunk in chunks:
+        values.append(_halve(chunk, index))
+    # every chunk has the last one's size
+    return _halve(np.array(values), index >> (chunk.size.bit_length() - 1))
 
 
 def _halve(values, index):

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import kernels
 
-# a dense float64 state of 2**24 amplitudes is 128 MiB; a bv play at 24
-# qubits holds it and its 32 MiB of unflipped indices, and `bv -n 24
-# --format json` peaks near 196 MB RSS
+# a dense float64 state of 2**24 amplitudes is 128 MiB, and grover holds
+# one; a bv play builds its state in 512 KiB chunks instead, so `bv -n 24
+# --format json` peaks near 132 MB RSS, mostly its noise draw's 96 MiB
 MAX_QUBITS = 24
 
 __all__ = [
@@ -70,7 +70,8 @@ def hadamard_probability(state, x: int) -> float:
     Equals probability_of(hadamard_all(state), x) bit for bit, but computes
     only the one transform entry (kernels.fwht_entry): O(2**n) work, under
     1 MiB of scratch at any size, and neither the input copy nor the full
-    output is built.
+    output is built.  A bv play scores its oracle's state the same way from
+    chunks it builds one at a time, without the state.
     """
     arr = np.asarray(state, dtype=np.float64)
     n = num_qubits(arr)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrondo import bv, kernels, statevec
@@ -88,6 +88,24 @@ def test_hadamard_probability_peak_memory_at_22_qubits():
             tracemalloc.stop()
     assert peaks["entry"] < 2**20
     assert peaks["full"] >= 48 * 2**20
+
+
+class _TrapGenerator:
+    """Stands in for a Generator: any draw from it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} reached before the qubit count was checked")
+
+
+@pytest.mark.parametrize("n", [0, 25, 30, True])
+def test_qubit_count_is_checked_before_any_draw(n):
+    # at n = 30, fixed-half's draw builds a 4 GiB permutation and
+    # flip_candidates a 2 GiB arange, unless n is refused first
+    for mode in bv.NOISE_MODES:
+        with pytest.raises(ValueError, match="qubit count"):
+            bv.draw_realization(n, 1, mode, _TrapGenerator())
+    with pytest.raises(ValueError, match="qubit count"):
+        bv.flip_candidates(n, 1)
 
 
 def test_alpha_zero_rejected_everywhere():
@@ -177,6 +195,43 @@ def test_run_game_matches_closed_form_and_dense_oracle():
         assert abs(result.success_probability - dense) < ATOL
 
 
+@settings(deadline=None, max_examples=150)
+@example(n=4, alpha_rank=7, mode=bv.FIXED_HALF, seed=0)
+@example(n=12, alpha_rank=(1 << 12) - 2, mode=bv.INDEPENDENT, seed=1)
+@given(
+    n=st.integers(2, 12),
+    alpha_rank=st.integers(0, 2**12),
+    mode=st.sampled_from(bv.NOISE_MODES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_play_is_the_built_states_entry(n, alpha_rank, mode, seed):
+    # with 8-amplitude chunks a play builds and halves several chunks from
+    # n = 4 on (alpha 8 flips whole chunks only); bit for bit the entry of
+    # the whole state built at once, for the draw and both unflipped limits
+    alpha = 1 + alpha_rank % ((1 << n) - 1)
+    limits = [
+        bv.NoiseRealization(n, alpha, np.empty(0, np.int64)),
+        bv.NoiseRealization(n, alpha, bv.flip_candidates(n, alpha)),
+    ]
+    with mock.patch.object(kernels, "_CHUNK", 8):
+        play = bv.run_game(n, alpha, mode, seed)
+        got = [play.success_probability] + [bv._success(r) for r in limits]
+    for value, realization in zip(got, [play.realization] + limits):
+        assert value == statevec.hadamard_probability(bv.noisy_oracle(realization), alpha)
+
+
+@pytest.mark.parametrize("mode", bv.NOISE_MODES)
+@pytest.mark.parametrize("n", [17, 18])
+def test_chunked_play_above_the_chunk_is_the_built_states_entry(n, mode):
+    # 2 and 4 chunks of 2**16 amplitudes; alpha (1 << n) - (1 << 16) has its
+    # low 16 bits clear, so it flips whole chunks and nothing within one
+    assert kernels._CHUNK == 1 << 16
+    for alpha in (1, (1 << n) - (1 << 16), (1 << n) - 1, 0x15555 & ((1 << n) - 1)):
+        play = bv.run_game(n, alpha, mode, seed=n + alpha)
+        want = statevec.hadamard_probability(bv.noisy_oracle(play.realization), alpha)
+        assert play.success_probability == want
+
+
 def test_run_game_is_deterministic():
     a = bv.run_game(5, 7, bv.INDEPENDENT, seed=123)
     b = bv.run_game(5, 7, bv.INDEPENDENT, seed=123)
@@ -196,10 +251,13 @@ def test_exact_success_endpoints():
 
 
 def test_independent_exhaustive_mean_values():
-    assert abs(bv.independent_exhaustive_mean(3, 1) - 0.3125) < ATOL
-    assert abs(bv.independent_exhaustive_mean(4, 1) - 0.28125) < ATOL
-    # alpha choice is irrelevant
-    assert abs(bv.independent_exhaustive_mean(3, 6) - 0.3125) < ATOL
+    # 3/8, 5/16 and 9/32 for every alpha, bit for bit as scoring each draw's
+    # whole state gave them; at n = 3 the inexact 2**(-3/2) leaves 5/16 one
+    # ulp high
+    want = {2: "0x1.8p-2", 3: "0x1.4000000000001p-2", 4: "0x1.2p-2"}
+    for n, value in want.items():
+        for alpha in range(1, 1 << n):
+            assert bv.independent_exhaustive_mean(n, alpha) == float.fromhex(value)
     with pytest.raises(ValueError):
         bv.independent_exhaustive_mean(5, 1)
 
@@ -302,15 +360,17 @@ def _traced_peak(call):
 
 
 def test_play_peak_memory_at_22_qubits():
-    # the 32 MiB state and the 8 MiB unflipped indices, plus under 1 MiB of
-    # scratch; negating a gathered copy of the unflipped amplitudes and
-    # halving the whole state for the entry peaked at 64 MiB, and an oracle
-    # that copies the uniform state near 81 MiB.  A small play first, so
-    # that numpy modules imported on first use are not counted
+    # the draw's transients (rng.choice's 16 MiB int64 permutation and the
+    # 8 MiB half it keeps; 16 MiB of int64 coins and their 2 MiB mask) set
+    # the peak; the state is built and halved in 512 KiB chunks next to the
+    # 8 MiB unflipped indices.  Holding the 32 MiB state peaked at 40.4 MiB.
+    # A small play first, so that numpy modules imported on first use are
+    # not counted
     bv.run_game(4, 5, bv.FIXED_HALF, seed=1)
-    for alpha in (1, 5):
-        peak = _traced_peak(lambda: bv.run_game(22, alpha, bv.FIXED_HALF, seed=1))
-        assert peak < 41 * 2**20
+    for mode in (bv.FIXED_HALF, bv.INDEPENDENT):
+        for alpha in (1, 5):
+            peak = _traced_peak(lambda: bv.run_game(22, alpha, mode, seed=1))
+            assert peak < 25 * 2**20
 
 
 def test_eligible_peak_memory_at_22_qubits():

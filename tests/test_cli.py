@@ -505,9 +505,10 @@ def test_grover_sweep_runs_each_round_once(capsys, monkeypatch):
 
 def test_bv_reads_one_transform_entry(capsys, monkeypatch):
     # the play reads one transform entry (it starts from the uniform state
-    # instead of transforming |0...0>), and the baseline follows that entry's
-    # path on its state's two values; only --samples builds a full
-    # transform, of trial 0's state
+    # instead of transforming |0...0>), through the chunk kernel that every
+    # entry read goes through, and the baseline follows that entry's path on
+    # its state's two values; only --samples builds a full transform, of
+    # trial 0's state
     calls = []
 
     def counted(name):
@@ -519,13 +520,13 @@ def test_bv_reads_one_transform_entry(capsys, monkeypatch):
 
         return wrapper
 
-    for name in ("fwht_inplace", "fwht_entry", "fwht_entry_of_two_values"):
+    for name in ("fwht_inplace", "fwht_entry_of_chunks", "fwht_entry_of_two_values"):
         monkeypatch.setattr(kernels, name, counted(name))
     argv = ["bv", "-n", "6", "--alpha", "5", "--trials", "1"]
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls.count("fwht_inplace") == 0
-    assert calls.count("fwht_entry") == 1
+    assert calls.count("fwht_entry_of_chunks") == 1
     assert calls.count("fwht_entry_of_two_values") == 1
     calls.clear()
     code, _, _ = run_cli(capsys, *argv, "--samples", "10")

@@ -80,6 +80,29 @@ def test_fwht_entry_above_the_chunk_is_bit_identical_to_butterfly_loop(n):
         assert kernels.fwht_entry(amps, x).view(np.uint64) == want[x].view(np.uint64)
 
 
+@settings(deadline=None, max_examples=60)
+@example(n=0, seed=0)
+@example(n=10, seed=1)
+@given(n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_fwht_entry_of_chunks_is_bit_identical_to_butterfly_loop(n, seed):
+    # every chunk size from 1 to 2**n, each chunk copied into one buffer
+    # that is refilled for the next, as a bv play builds its chunks
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-300, 301, size=1 << n)
+    want = oracles.fwht_butterfly_loop(amps)
+
+    def refilled(size):
+        buffer = np.empty(size)
+        for first in range(0, amps.size, size):
+            buffer[:] = amps[first : first + size]
+            yield buffer
+
+    for x in rng.permutation(1 << n)[:4].tolist():
+        for bits in range(n + 1):
+            got = kernels.fwht_entry_of_chunks(refilled(1 << bits), x)
+            assert got.view(np.uint64) == want[x].view(np.uint64)
+
+
 @settings(deadline=None, max_examples=200)
 @example(n=1, seed=0)
 @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
