@@ -179,11 +179,11 @@ def _oracle_amplitudes(realization: NoiseRealization, first: int, out: np.ndarra
 
 
 def _success(realization: NoiseRealization) -> float:
-    """hadamard_probability(noisy_oracle(realization), alpha), bit for bit.
+    """|<alpha| H noisy_oracle(realization)|**2, bit for bit as the full transform gives it.
 
     The state is built and halved one kernels._CHUNK-amplitude chunk at a
     time in one buffer (kernels.fwht_entry_of_chunks), so no 2**n array is
-    held; the entry is then scaled and squared as hadamard_probability does.
+    held; the entry is then scaled by 2**(-n/2) and squared.
     """
     n = realization.qubits
     buffer = np.empty(min(1 << n, kernels._CHUNK))
@@ -231,8 +231,8 @@ def single_reflection_baseline(n: int, alpha: int, y: int) -> float:
 
     Evaluates |<alpha| H (flip y) H |0...0>|**2 as the state-vector pipeline
     would, bit for bit: the uniform state H|0...0> with entry y negated, then
-    its one transform entry on alpha, scaled and squared as in
-    statevec.hadamard_probability.  That state holds two values, so the
+    its one transform entry on alpha (kernels.fwht_entry_of_chunks), scaled
+    and squared as _success does.  That state holds two values, so the
     entry is kernels.fwht_entry_of_two_values, O(n) and without the state;
     the value is 4/4**n for every eligible y.
     """

@@ -122,7 +122,17 @@ def success_after_k(n: int, k: int) -> float:
         raise ValueError(f"need n >= 2, got {n}")
     if k < 0:
         raise ValueError(f"round count k must be >= 0, got {k}")
-    return math.sin((2 * k + 1) * math.asin(2.0 ** (-n / 2.0))) ** 2
+    return _success_at(_angle(n), k)
+
+
+def _angle(n: int) -> float:
+    """The Grover angle asin(2**(-n/2)) of n qubits."""
+    return math.asin(2.0 ** (-n / 2.0))
+
+
+def _success_at(theta: float, k: int) -> float:
+    """Success sin((2k+1) * theta)**2 after k full rounds at angle theta."""
+    return math.sin((2 * k + 1) * theta) ** 2
 
 
 def canonical_k(n: int) -> int:
@@ -141,8 +151,10 @@ def best_k(n: int) -> int:
 
     Scans k in [0, canonical_k(n) + 2]; ties resolve to the smaller k.  This
     repairs the small-n cases where the ceiling rule overshoots the optimum.
+    Each success is success_after_k's float, from one shared angle.
     """
-    return max(range(canonical_k(n) + 3), key=lambda k: success_after_k(n, k))
+    theta = _angle(n)
+    return max(range(canonical_k(n) + 3), key=lambda k: _success_at(theta, k))
 
 
 @dataclass(frozen=True)

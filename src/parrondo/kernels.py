@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "fwht_inplace",
-    "fwht_entry",
     "fwht_entry_of_chunks",
     "fwht_entry_of_two_values",
     "parity_flip_inplace",
@@ -54,38 +53,29 @@ def fwht_inplace(amps):
         h *= 2
 
 
-# Amplitudes per chunk of fwht_entry, and ranks per slice of bv's rank map:
+# Amplitudes per chunk of a transform entry, and ranks per slice of bv's rank map:
 # a chunk of 2**16 float64 is 512 KiB, and its first two stages' values
 # (256 + 128 KiB) are all the entry's scratch, at any size; bv builds its
 # oracle's state one such chunk at a time
 _CHUNK = 1 << 16
 
 
-def fwht_entry(amps, index):
-    """Entry index of the unnormalised Walsh-Hadamard transform of amps.
-
-    Bit-identical to fwht_inplace(amps)[index]: fwht_entry_of_chunks over
-    amps' aligned _CHUNK-amplitude chunks (one chunk when amps is smaller),
-    with under 1 MiB of scratch.  About 2 * amps.size element reads in all;
-    amps is read, never written.  fwht_entry_of_two_values follows the same
-    path without the array when amps holds two values.
-    """
-    return fwht_entry_of_chunks(amps.reshape(-1, min(amps.size, _CHUNK)), index)
-
-
 def fwht_entry_of_chunks(chunks, index):
-    """fwht_entry of the array whose consecutive chunks chunks yields, in index order.
+    """Entry index of the unnormalised Walsh-Hadamard transform of amps, given in chunks.
 
-    The chunks are equal, a power of two in size, and read one at a time,
-    so a caller may build each in one buffer it refills.  The stages run in
-    the same order as the full transform's (h = 1, 2, 4, ...), and each
-    keeps only the half on the path to index.  Stage s pairs neighbours of
-    the kept values, which are the entries whose low s bits equal index's;
-    it keeps a + b where bit s of index is 0 and a - b where it is 1, the
-    same operation on the same float64 operands as the full transform.  The
-    first log2(chunk size) stages never pair values of different chunks, so
-    each chunk is halved to one value on its own, and the later stages run
-    on those values: the same operands in the same order.
+    chunks yields amps' consecutive chunks in index order.  The result is
+    fwht_inplace(amps)[index] bit for bit, with under 1 MiB of scratch when
+    no chunk holds more than _CHUNK amplitudes.  The chunks are equal, a
+    power of two in size, and read one at a time, so a caller may build each
+    in one buffer it refills.  The stages run in the same order as the full
+    transform's (h = 1, 2, 4, ...), and each keeps only the half on the path
+    to index.  Stage s pairs neighbours of the kept values, which are the
+    entries whose low s bits equal index's; it keeps a + b where bit s of
+    index is 0 and a - b where it is 1, the same operation on the same
+    float64 operands as the full transform.  The first log2(chunk size)
+    stages never pair values of different chunks, so each chunk is halved to
+    one value on its own, and the later stages run on those values: the same
+    operands in the same order.
     """
     values = []
     for chunk in chunks:
@@ -95,7 +85,7 @@ def fwht_entry_of_chunks(chunks, index):
 
 
 def _halve(values, index):
-    """fwht_entry's stages on values, a power-of-two count, down to the one entry."""
+    """The entry's stages on values, a power-of-two count, down to the one entry."""
     while values.size > 1:
         pairs = values.reshape(-1, 2)
         combine = np.subtract if index & 1 else np.add
@@ -105,15 +95,15 @@ def _halve(values, index):
 
 
 def fwht_entry_of_two_values(size, common, odd, position, index):
-    """fwht_entry(amps, index) for size amps that hold common, but odd at position.
+    """Transform entry index of size amps that hold common, but odd at position.
 
-    Every stage of fwht_entry's path keeps such an array: the pairs without
+    Every stage of the entry's path keeps such an array: the pairs without
     the odd entry all give combine(common, common), and the pair holding it,
     now at position >> 1, gives combine(odd, common) or combine(common, odd)
     as position is even or odd.  These are the same additions and
-    subtractions, in the same operand order, as fwht_entry's, on Python
-    floats, which round as float64 does: bit-identical in O(log2 size)
-    operations, and no array is built.  size is a power of two, at least 2.
+    subtractions, in the same operand order, as fwht_entry_of_chunks', on
+    Python floats, which round as float64 does: bit-identical in O(log2
+    size) operations, and no array is built.  size is a power of two, at least 2.
     """
     while size > 1:
         combine = operator.sub if index & 1 else operator.add

@@ -22,7 +22,6 @@ __all__ = [
     "num_qubits",
     "uniform_state",
     "hadamard_all",
-    "hadamard_probability",
     "flip_sign_at",
     "diffusion",
     "probability_of",
@@ -32,7 +31,10 @@ __all__ = [
 
 def num_qubits(state) -> int:
     """Qubit count of a state vector; rejects lengths that are not 2**n, n >= 1."""
-    size = int(np.size(state))
+    return _qubits_of_length(int(np.size(state)))
+
+
+def _qubits_of_length(size: int) -> int:
     n = size.bit_length() - 1
     if n < 1 or (1 << n) != size:
         raise ValueError(f"state length {size} is not a power of two >= 2")
@@ -56,28 +58,16 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 def hadamard_all(state) -> np.ndarray:
-    """Apply a Hadamard to every qubit (normalised fast Walsh-Hadamard transform)."""
+    """Apply a Hadamard to every qubit (normalised fast Walsh-Hadamard transform).
+
+    A caller that reads one outcome takes its one transform entry instead,
+    with kernels.fwht_entry_of_chunks, and builds neither copy nor output.
+    """
     out = np.array(state, dtype=np.float64, copy=True)
     n = num_qubits(out)
     kernels.fwht_inplace(out)
     out *= 2.0 ** (-n / 2.0)
     return out
-
-
-def hadamard_probability(state, x: int) -> float:
-    """Probability of outcome x after a Hadamard on every qubit.
-
-    Equals probability_of(hadamard_all(state), x) bit for bit, but computes
-    only the one transform entry (kernels.fwht_entry): O(2**n) work, under
-    1 MiB of scratch at any size, and neither the input copy nor the full
-    output is built.  A bv play scores its oracle's state the same way from
-    chunks it builds one at a time, without the state.
-    """
-    arr = np.asarray(state, dtype=np.float64)
-    n = num_qubits(arr)
-    _check_index(n, x)
-    amplitude = kernels.fwht_entry(arr, x) * 2.0 ** (-n / 2.0)
-    return float(amplitude**2)
 
 
 def flip_sign_at(state, y: int) -> np.ndarray:
@@ -94,13 +84,17 @@ def diffusion(state, out=None) -> np.ndarray:
 
     With |psi> uniform this is elementwise 2*mean(v) - v.  The mean is
     numpy's: the same pairwise sum, then the same division by the size,
-    without mean's Python wrapper.  The result goes into out when given, a
-    float64 array of the state's shape that may be the state itself.
+    without mean's Python wrapper.  A stack of states, one per row of a 2-D
+    array, is reflected row by row along the last axis; numpy sums each row
+    of a C-contiguous array as it sums that row alone, so each row is
+    bit-identical to its own reflection.  The result goes into out when
+    given, a float64 array of the state's shape that may be the state itself.
     """
     arr = np.asarray(state, dtype=np.float64)
-    num_qubits(arr)
-    mean = float(np.add.reduce(arr)) / arr.size
-    return np.subtract(2.0 * mean, arr, out=out)
+    size = arr.shape[-1] if arr.ndim else 1
+    _qubits_of_length(size)
+    mean = np.add.reduce(arr, axis=-1) / size
+    return np.subtract((2.0 * mean)[..., None], arr, out=out)
 
 
 def probability_of(state, x: int) -> float:

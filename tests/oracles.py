@@ -3,13 +3,18 @@
 Everything here is deliberately naive: dense matrices built with np.kron,
 float trigonometry, full Gaussian elimination over Fractions, and a symbolic
 word reducer that stores actual letters.  None of it shares code paths with
-the package.
+the package, except fwht_entry and hadamard_probability: the whole-array
+forms of the package's chunked transform entry, which the tests check
+against fwht_butterfly_loop and the full transform, then use as the
+reference for the chunked plays.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from parrondo import kernels, statevec
 
 
 def dense_hadamard(n):
@@ -38,6 +43,23 @@ def fwht_butterfly_loop(amps):
                 values[j], values[j + h] = a + b, a - b
         h *= 2
     return np.array(values)
+
+
+def fwht_entry(amps, index):
+    """Entry index of the unnormalised Walsh-Hadamard transform of amps.
+
+    kernels.fwht_entry_of_chunks over amps' aligned kernels._CHUNK-amplitude
+    chunks, one chunk when amps is smaller; amps is read, never written.
+    """
+    return kernels.fwht_entry_of_chunks(amps.reshape(-1, min(amps.size, kernels._CHUNK)), index)
+
+
+def hadamard_probability(state, x):
+    """Probability of outcome x after a Hadamard on every qubit, from its one entry."""
+    amps = np.asarray(state, dtype=np.float64)
+    n = statevec.num_qubits(amps)
+    statevec._check_index(n, x)
+    return float((fwht_entry(amps, x) * 2.0 ** (-n / 2.0)) ** 2)
 
 
 def parity_flip_popcount(amps, mask):

@@ -59,7 +59,7 @@ def test_hadamard_probability_matches_full_transform_on_bv_states():
                 full = statevec.hadamard_all(state)
                 for x in range(1 << n):
                     want = statevec.probability_of(full, x)
-                    assert statevec.hadamard_probability(state, x) == want
+                    assert oracles.hadamard_probability(state, x) == want
 
 
 def test_odd_n_successes_keep_their_rounding():
@@ -77,7 +77,7 @@ def test_hadamard_probability_peak_memory_at_22_qubits():
     state = statevec.uniform_state(22)
     peaks = {}
     for name, read in (
-        ("entry", lambda: statevec.hadamard_probability(state, 1)),
+        ("entry", lambda: oracles.hadamard_probability(state, 1)),
         ("full", lambda: statevec.probability_of(statevec.hadamard_all(state), 1)),
     ):
         tracemalloc.start()
@@ -217,7 +217,7 @@ def test_chunked_play_is_the_built_states_entry(n, alpha_rank, mode, seed):
         play = bv.run_game(n, alpha, mode, seed)
         got = [play.success_probability] + [bv._success(r) for r in limits]
     for value, realization in zip(got, [play.realization] + limits):
-        assert value == statevec.hadamard_probability(bv.noisy_oracle(realization), alpha)
+        assert value == oracles.hadamard_probability(bv.noisy_oracle(realization), alpha)
 
 
 @pytest.mark.parametrize("mode", bv.NOISE_MODES)
@@ -228,7 +228,7 @@ def test_chunked_play_above_the_chunk_is_the_built_states_entry(n, mode):
     assert kernels._CHUNK == 1 << 16
     for alpha in (1, (1 << n) - (1 << 16), (1 << n) - 1, 0x15555 & ((1 << n) - 1)):
         play = bv.run_game(n, alpha, mode, seed=n + alpha)
-        want = statevec.hadamard_probability(bv.noisy_oracle(play.realization), alpha)
+        want = oracles.hadamard_probability(bv.noisy_oracle(play.realization), alpha)
         assert play.success_probability == want
 
 
@@ -299,7 +299,7 @@ def test_baseline_is_the_built_states_transform_entry(n, alpha_rank, y_ranks):
     for rank in y_ranks:
         y = int(eligible[rank % eligible.size])
         state = oracles.uniform_state_with_flip(n, y)
-        want = statevec.hadamard_probability(state, alpha)
+        want = oracles.hadamard_probability(state, alpha)
         assert bv.single_reflection_baseline(n, alpha, y) == want
 
 

@@ -202,6 +202,16 @@ def test_best_k_values():
     assert grover.success_after_k(10, grover.best_k(10)) > 0.99
 
 
+def test_best_k_is_the_scan_of_success_after_k():
+    # n = 2 ties at k = 1 and k = 4 (both success 1.0); the scan keeps k = 1
+    assert grover.success_after_k(2, 1) == grover.success_after_k(2, 4)
+    for n in range(2, 25):
+        want = max(range(grover.canonical_k(n) + 3), key=lambda k: grover.success_after_k(n, k))
+        assert grover.best_k(n) == want, n
+    with pytest.raises(ValueError):
+        grover.best_k(1)
+
+
 def test_best_k_beats_one_half_everywhere():
     for n in range(2, 25):
         assert grover.success_after_k(n, grover.best_k(n)) > 0.5

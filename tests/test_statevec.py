@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parrondo import kernels, statevec
+from parrondo import kernels, reproduce, statevec
 
 import oracles
 
@@ -67,16 +67,16 @@ def test_hadamard_probability_is_bit_identical_to_full_transform(n, seed):
     keep = v.copy()
     full = statevec.hadamard_all(v)
     for x in range(1 << n):
-        assert statevec.hadamard_probability(v, x) == statevec.probability_of(full, x)
+        assert oracles.hadamard_probability(v, x) == statevec.probability_of(full, x)
     assert np.array_equal(v, keep)
 
 
 def test_hadamard_probability_rejects_bad_input():
     for bad in (8, -1):
         with pytest.raises(ValueError, match="out of range"):
-            statevec.hadamard_probability(statevec.uniform_state(3), bad)
+            oracles.hadamard_probability(statevec.uniform_state(3), bad)
     with pytest.raises(ValueError, match="power of two"):
-        statevec.hadamard_probability(np.ones(6), 0)
+        oracles.hadamard_probability(np.ones(6), 0)
 
 
 def test_parity_flip_identity_for_alpha_zero():
@@ -185,3 +185,63 @@ def test_sample_basis_is_seeded_and_concentrated():
     assert np.array_equal(outcomes, again)
     with pytest.raises(ValueError):
         statevec.sample_basis(state, 0, rng)
+
+
+def test_row_reduce_is_the_one_dimensional_sum():
+    # reproduce's batched word application rests on this: numpy sums each
+    # row of a C-contiguous array pairwise, as it sums that row alone
+    rng = np.random.default_rng(4)
+    for size in range(4, 1025):
+        x = rng.standard_normal((3, size)) * 10.0 ** rng.integers(-8, 9, size=(3, size))
+        got = np.add.reduce(x, axis=1)
+        want = np.array([np.add.reduce(row) for row in x])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), size
+
+
+def test_diffusion_of_a_stack_is_row_by_row():
+    rng = np.random.default_rng(6)
+    for n in range(1, 11):
+        stack = rng.standard_normal((5, 1 << n))
+        want = np.array([statevec.diffusion(row) for row in stack])
+        assert np.array_equal(statevec.diffusion(stack).view(np.uint64), want.view(np.uint64))
+        assert statevec.diffusion(stack, out=stack) is stack
+        assert np.array_equal(stack.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValueError, match="power of two"):
+        statevec.diffusion(np.ones((4, 6)))
+
+
+def _letter_by_letter(n, alpha, letters):
+    state = statevec.uniform_state(n)
+    for bit in letters:
+        if bit:
+            state[alpha] = -state[alpha]
+        else:
+            statevec.diffusion(state, out=state)
+    return state
+
+
+def _assert_batched_is_letter_by_letter(n, alphas, words):
+    got = reproduce._apply_words(n, alphas, words)
+    assert got.shape == (len(words), 1 << n)
+    for state, alpha, letters in zip(got, alphas, words):
+        want = _letter_by_letter(n, alpha, letters)
+        assert np.array_equal(state.view(np.uint64), want.view(np.uint64))
+
+
+def test_batched_words_are_letter_by_letter_on_the_rows_draws():
+    draws = reproduce._word_draws()
+    assert len(draws) == 200
+    for n in (2, 3, 4):
+        group = [(alpha, letters) for m, alpha, letters in draws if m == n]
+        _assert_batched_is_letter_by_letter(n, *zip(*group))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_batched_words_are_letter_by_letter(n):
+    # words of every length from 1 to 200 among them, ending at different
+    # positions; letters drawn with P(B) from 0.2 to 0.8
+    rng = np.random.default_rng(n)
+    lengths = [1, 200, *rng.integers(1, 201, size=10).tolist()]
+    words = [(rng.random(size) < rng.uniform(0.2, 0.8)).astype(np.int64) for size in lengths]
+    alphas = rng.integers(0, 1 << n, size=len(words)).tolist()
+    _assert_batched_is_letter_by_letter(n, alphas, words)
