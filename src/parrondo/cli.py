@@ -516,9 +516,31 @@ def _flatten(value, prefix=""):
     return rows
 
 
+_ENCODER = json.JSONEncoder(indent=2, allow_nan=False)
+
+
+def _json(value, level: int = 0) -> str:
+    """json.dumps(value, indent=2, allow_nan=False), byte for byte, at indent level.
+
+    Keys must be str, as every report's are.  A dict is walked, and a list
+    that holds one object throughout (as [weight] * size does) renders that
+    object once and repeats its text.  Anything else is the shared encoder's
+    text, indented at its newlines: a JSON string never holds a raw newline.
+    """
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{_ENCODER.encode(k)}: {_json(v, level + 1)}" for k, v in value.items())
+        return f"{{{inner}{(',' + inner).join(items)}{outer}}}"
+    if isinstance(value, (list, tuple)) and value and all(v is value[0] for v in value):
+        text = _json(value[0], level + 1)
+        return f"[{inner}{(',' + inner).join([text] * len(value))}{outer}]"
+    return _ENCODER.encode(value).replace("\n", outer)
+
+
 def _emit(out: Output, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(out.report, indent=2, allow_nan=False))
+        print(_json(out.report))
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -34,14 +34,14 @@ __all__ = [
 
 # Largest ring (product of the moduli) the CLI accepts.  The exact side costs
 # O(sum of the moduli) and simulate_ring holds nothing M-sized, so only the
-# JSON report's M stationary weights bound the ring: about 0.6 KB of peak RSS
-# per position (189 MB and 1.5-2.1 s at M = 255,255 on a 2-core Xeon, with
-# stdout to /dev/null), so the next wheel, 19, would need about 3 GB.  It
-# also bounds the walk, so simulate_ring refuses a larger ring: _Words matches
-# Generator.integers only for bounds up to 2**32, and each redraw seeks and
-# re-reads the rest of its block, so the walk stays linear in its steps only
-# while redraws are rare, as they are for moduli far below 2**32 (a modulus
-# of 2**31 + 1 redraws half its words).
+# JSON report's M stationary weights bound the ring: about 0.26 KB of peak RSS
+# per position, a few copies of the 90-byte entry (97 MB and 0.30-0.42 s at
+# M = 255,255 on a 2-core Xeon, with stdout to /dev/null), so the next wheel,
+# 19, would need about 1.3 GB.  It also bounds the walk, so simulate_ring
+# refuses a larger ring: _Words matches Generator.integers only for bounds up
+# to 2**32, and each redraw seeks and re-reads the rest of its block, so the
+# walk stays linear in its steps only while redraws are rare, as they are for
+# moduli far below 2**32 (a modulus of 2**31 + 1 redraws half its words).
 MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in

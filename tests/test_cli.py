@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parrondo
 from parrondo import bv, cli, grover, kernels, reproduce, ring, statevec
@@ -134,6 +137,74 @@ def test_ring_csv_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("combined.rate,1/21") for line in lines)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e16, 2**64, -(2**63) - 1]),
+    st.text(),
+    # non-ASCII (line separator, last BMP letter before the surrogates, one
+    # past the BMP), control characters, quote and backslash
+    st.sampled_from(["h\u00e9llo \u2211", "\u2028\ud7ff\U0001f600", "\x00\x1f\n\t\"\\"]),
+)
+
+
+def _json_values(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        # a list that holds one object throughout, as [weight] * size does
+        st.builds(lambda item, n: [item] * n, children, st.integers(0, 5)),
+        st.builds(lambda item, n: (item,) * n, children, st.integers(0, 3)),
+        # equal values with different texts: only identity makes a list repeated
+        st.lists(st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True]), min_size=2, max_size=4),
+    )
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.recursive(_JSON_SCALARS, _json_values, max_leaves=30))
+def test_json_writer_is_json_dumps(value):
+    """cli._json is json.dumps(indent=2, allow_nan=False) on every value whose
+    keys are str, as every report's are."""
+    assert cli._json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda x: x,
+        lambda x: [1, x],
+        lambda x: {"a": {"b": x}},
+        lambda x: [{"decimal": x}] * 3,
+        lambda x: {"weights": [[x]] * 2},
+    ],
+)
+def test_json_writer_refuses_what_strict_json_refuses(bad, wrap):
+    value = wrap(bad)
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        cli._json(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ring", "--moduli", "3,7,11,19", "--format", "json"],
+        ["grover", "-n", "4", "--sweep", "--format", "json"],
+    ],
+)
+def test_json_stdout_is_the_stdlib_text_of_the_report(capsys, argv):
+    args = cli.build_parser().parse_args(argv)
+    report = args.handler(args).report
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def test_byte_identical_reruns(capsys):
