@@ -27,6 +27,7 @@ __all__ = [
     "fwht_entry_of_two_values",
     "parity_flip_inplace",
     "ring_walk_wins",
+    "ring_walk_counts",
     "push_letters_until",
     "seed_children",
 ]
@@ -134,15 +135,38 @@ def ring_walk_wins(increments, modulus, width, start):
 
     A step wins when its position mod modulus is below width: no table is read.
     increments must be non-negative int64, and it is overwritten: the walk's
-    positions are computed in place.  They are never negative, so the floor
-    division gives the values of % without its hardware divide.
+    positions are computed in place (_ring_positions).
     """
     if increments.size == 0:
         return 0, start
-    positions = np.cumsum(increments, out=increments)
-    positions += start
-    positions -= positions // modulus * modulus
+    positions = _ring_positions(increments, modulus, start)
     return int(np.count_nonzero(positions < width)), int(positions[-1])
+
+
+def ring_walk_counts(increments, modulus, start, counts):
+    """Add the wheel walk's visits from position start to counts; return its end position.
+
+    counts[r] grows by the steps at position r, so it must hold modulus
+    int64 entries.  increments is as for ring_walk_wins, and not empty.
+    """
+    positions = _ring_positions(increments, modulus, start)
+    counts += np.bincount(positions, minlength=modulus)
+    return int(positions[-1])
+
+
+def _ring_positions(increments, modulus, start):
+    """The walk's positions mod modulus from start, computed in increments itself.
+
+    start is folded into the first increment, and the reduction takes one
+    scratch array.  The positions are never negative, so the floor division
+    gives the values of % without its hardware divide.
+    """
+    increments[0] += start
+    positions = np.cumsum(increments, out=increments)
+    scratch = np.floor_divide(positions, modulus)
+    scratch *= modulus
+    positions -= scratch
+    return positions
 
 
 # On a 2-core Xeon the two letter walks cost the same at about 6,000 letters

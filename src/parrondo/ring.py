@@ -11,6 +11,8 @@ are `fractions.Fraction`; only the Monte Carlo cross-check uses floats.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,26 +35,39 @@ __all__ = [
 
 
 # Largest ring (product of the moduli) the CLI accepts.  The exact side costs
-# O(sum of the moduli) and simulate_ring holds nothing M-sized, so only the
-# JSON report's M stationary weights bound the ring: about 0.26 KB of peak RSS
-# per position, a few copies of the 90-byte entry (97 MB and 0.30-0.42 s at
-# M = 255,255 on a 2-core Xeon, with stdout to /dev/null), so the next wheel,
-# 19, would need about 1.3 GB.  It also bounds the walk, so simulate_ring
-# refuses a larger ring: _Words matches Generator.integers only for bounds up
-# to 2**32, and each redraw seeks and re-reads the rest of its block, so the
-# walk stays linear in its steps only while redraws are rare, as they are for
-# moduli far below 2**32 (a modulus of 2**31 + 1 redraws half its words).
+# O(sum of the moduli) and simulate_ring holds nothing M-sized above
+# _PART_POSITIONS positions, so only the JSON report's M stationary weights
+# bound the ring: about 0.26 KB of peak RSS per position, a few copies of the
+# 90-byte entry (97 MB and 0.30-0.42 s at M = 255,255 on a 2-core Xeon, with
+# stdout to /dev/null), so the next wheel, 19, would need about 1.3 GB.  It
+# also bounds the walk, so simulate_ring refuses a larger ring: _Words matches
+# Generator.integers only for bounds up to 2**32, and each redraw seeks and
+# re-reads the rest of its block, so the walk stays linear in its steps only
+# while redraws are rare, as they are for moduli far below 2**32 (a modulus of
+# 2**31 + 1 redraws half its words).
 MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
 # blocks of _WALK_BLOCK steps, so its memory does not grow with the steps, and
-# the cap bounds run time instead: about 15-18 ns per step on a 2-core Xeon,
-# 0.45-0.55 s at 3e7 steps with two or six wheels.
+# the cap bounds run time instead.  On a 2-core Xeon, 3e7 steps take about
+# 0.30-0.39 s with two wheels, whose walk is split in two parts, and about
+# 0.47-0.68 s with six, whose ring is too large to split.
 MAX_STEPS = 3 * 10**7
 
-# Steps simulate_ring draws and walks at once; its arrays peak near 2.4 MB
-# under tracemalloc at any step count.
+# Steps simulate_ring draws and walks at once, in each part of the walk; one
+# block's arrays peak near 2.4 MB under tracemalloc at any step count.
 _WALK_BLOCK = 2**16
+
+# A walk of at least 2 * _PART_STEPS steps on a ring of at most
+# _PART_POSITIONS positions is split into parts: one per usable CPU, but no
+# more than one per _PART_STEPS steps.  Each later part runs on its own thread
+# with its own block arrays and M int64 counts (512 KiB at most); two parts
+# raise the peak RSS of ring --steps 20000000 by about 1.9 MB.  On a 2-core
+# Xeon splitting pays from 2**19 steps on (11.3 -> 8.7 ms), so the floor is
+# set by memory, not time: the 10**6-step walks of the README and of
+# reproduce stay in one part.
+_PART_STEPS = 2**21
+_PART_POSITIONS = 2**16
 
 
 def _check_modulus(m: int) -> None:
@@ -186,11 +201,11 @@ class _Words:
     gives the values of np.random.default_rng(seed).integers call for call.
     """
 
-    def __init__(self, seed):
+    def __init__(self, seed, at=0):
         self._bit_generator = np.random.PCG64(seed)
         self._seeded = self._bit_generator.state
         self._raw_read = 0  # raw words handed out since the last seek
-        self.at = 0
+        self.at = at
 
     def _read(self, count):
         """Words at .. at + count - 1, as uint32; at does not move.
@@ -238,10 +253,16 @@ class _Words:
         (2**32 - b) % b.  Bounds lie in [1, 2**32].  A scalar bound of 1
         takes no word, as numpy returns 0 without drawing; per-element bounds
         must exceed 1.  Redraws are rare for small bounds, so after one at
-        passes the rejected word and the rest is read anew.
+        passes the rejected word and the rest is read anew.  A scalar power
+        of two 2**k redraws nothing, and its product's high half is the
+        word's top k bits, so that draw is one shift.
         """
         if index is None and bound == 1:
             return np.zeros(size, dtype=np.int64)
+        if index is None and bound & (bound - 1) == 0:
+            words = self._read(size)
+            self.at += size
+            return np.right_shift(words, 33 - int(bound).bit_length(), dtype=np.int64)
         bound = np.asarray(bound, dtype=np.uint64)
         threshold = (2**32 - bound) % bound
         worst = int(threshold.max())
@@ -277,13 +298,28 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     blocks of _WALK_BLOCK steps, the choices read from word 0 of that stream
     and the rotations from where _Words.skip leaves it, past the choices; a
     rotation block that starts inside a raw word seeks once to re-draw it.
-    The draws in blocks are those of one long draw, so the block size does
-    not change the result.  Rings of more than MAX_POSITIONS positions are
-    refused (see there).
+    Rings of more than MAX_POSITIONS positions are refused (see there).
+
+    A long walk on a small ring is split into contiguous parts of whole
+    blocks, one per usable CPU (see _PART_STEPS).  Part 0 walks on the
+    calling thread.  Each later part walks on its own thread from offset 0:
+    its choices start at the word where the earlier parts' choices end, and
+    its rotations at the rotations' first word plus its first step, as if no
+    earlier part redrew a rotation word.  It counts its steps on each residue
+    and keeps its end offset.  The walk is a random walk on the group Z_M
+    (Diaconis 1988, ch. 3), so the part played from position p visits its
+    residues shifted by p.  The join, in part order, adds the part's counts
+    on the residues that p moves onto the winning arc, then moves p by its
+    end offset.  If an earlier part did redraw a rotation word, the later
+    parts are walked again on the calling thread, from the true word and
+    position.  An exception in any part is raised in the caller.  The draws
+    in blocks and parts are those of one long draw, and the join is exact,
+    so neither the block size nor the part count changes the result.
 
     The walk runs in coordinates rotated by q = M // 4, starting at q: the
-    winning arc [-q, q] of Z_M becomes [0, 2q], so the kernel counts the
-    steps below winning_count(M) = 2q + 1 and no M-sized table is built.
+    winning arc [-q, q] of Z_M becomes [0, 2q], so a step wins when it lies
+    below winning_count(M) = 2q + 1.  Only a later part holds an M-sized
+    array, its counts, and only on a ring of at most _PART_POSITIONS.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -292,20 +328,103 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
         raise ValueError(f"moduli product {M} exceeds the limit of {MAX_POSITIONS} positions")
     moduli = np.array(combined.moduli, dtype=np.uint64)
     strides = (M // moduli).astype(np.int64)
-    rotations = _Words(seed)
-    rotations.skip(moduli.size, steps)
-    choices = _Words(seed)
     width = winning_count(M)
-    wins, position = 0, M // 4
+    firsts = _walk_parts(M, steps)
+    # the first choice word of each part, then the rotations' first word, past every choice
+    rotations, choice_starts = _Words(seed), []
+    for first, end in zip(firsts, firsts[1:]):
+        choice_starts.append(rotations.at)
+        rotations.skip(moduli.size, end - first)
+    rotation_start = rotations.at
+    walk = (M, moduli, strides)
+    parts = [
+        _Part(_Words(seed, at), _Words(seed, rotation_start + first), end - first, *walk)
+        for at, first, end in zip(choice_starts[1:], firsts[1:], firsts[2:])
+    ]
+    for part in parts:
+        part.start()
+    try:
+        wins, position = _walk(_Words(seed), rotations, firsts[1], M // 4, *walk, width)
+    finally:
+        for part in parts:
+            part.join()
+    for part in parts:
+        if isinstance(part.result, BaseException):
+            raise part.result
+    for k, part in enumerate(parts, 1):
+        if rotations.at != rotation_start + firsts[k]:
+            # an earlier part redrew a rotation word: walk the rest again from the true one
+            choices = _Words(seed, choice_starts[k])
+            more, position = _walk(choices, rotations, steps - firsts[k], position, *walk, width)
+            wins += more
+            break
+        counts, end = part.result
+        # residue r lies on the winning arc from position p when (p + r) mod M < width
+        wins += int(np.roll(counts, position)[:width].sum())
+        position = (position + end) % M
+        rotations = part.rotations
+    p = Fraction(wins, steps)
+    return RateReport(win_probability=p, winning_count=wins)
+
+
+def _walk_parts(M, steps):
+    """The first step of each part of the walk, then steps.
+
+    A walk splits only on a ring of at most _PART_POSITIONS positions, into
+    at most one part per usable CPU and one per _PART_STEPS steps, at
+    multiples of _WALK_BLOCK.  _PART_STEPS is at least _WALK_BLOCK, so every
+    part holds at least one block.
+    """
+    count = 1
+    if M <= _PART_POSITIONS and steps >= 2 * _PART_STEPS:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        count = min(cpus, steps // _PART_STEPS)
+    blocks = -(-steps // _WALK_BLOCK)
+    return [min(steps, k * blocks // count * _WALK_BLOCK) for k in range(count + 1)]
+
+
+def _walk(choices, rotations, steps, position, M, moduli, strides, width=None, counts=None):
+    """Walk the readers' next steps steps from position: (winning steps, end position).
+
+    With counts, each step's position is added to counts (ring_walk_counts)
+    instead, and 0 steps win.
+    """
+    wins = 0
     for start in range(0, steps, _WALK_BLOCK):
         size = min(_WALK_BLOCK, steps - start)
         game = choices.bounded(moduli.size, size)
         increments = rotations.bounded(moduli, size, game)
         increments *= strides[game]
-        block_wins, position = kernels.ring_walk_wins(increments, M, width, position)
-        wins += block_wins
-    p = Fraction(wins, steps)
-    return RateReport(win_probability=p, winning_count=wins)
+        if counts is None:
+            block_wins, position = kernels.ring_walk_wins(increments, M, width, position)
+            wins += block_wins
+        else:
+            position = kernels.ring_walk_counts(increments, M, position, counts)
+    return wins, position
+
+
+class _Part(threading.Thread):
+    """A later part of a split walk, walked on its own thread from offset 0.
+
+    Its result is (counts, end): counts[r] of its steps land on residue r,
+    and it ends at offset end.  An exception is kept as the result instead,
+    for the caller to raise.  The rotation reader is left past the part's
+    last word.  The part calls ring_walk_counts, which no tracer wraps, as a
+    tracer keeps one span stack for all threads.
+    """
+
+    def __init__(self, choices, rotations, steps, M, moduli, strides):
+        super().__init__(daemon=True)
+        self.rotations = rotations
+        self.counts = np.zeros(M, dtype=np.int64)
+        self.args = (choices, rotations, steps, 0, M, moduli, strides)
+        self.result = None
+
+    def run(self):
+        try:
+            self.result = self.counts, _walk(*self.args, counts=self.counts)[1]
+        except BaseException as error:
+            self.result = error
 
 
 def win_frequency_z(

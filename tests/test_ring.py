@@ -1,7 +1,9 @@
 """Wheel games: exact values, solver behaviour, and Monte Carlo agreement."""
 
 import math
+import os
 import re
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -275,6 +277,102 @@ def test_streamed_walk_does_not_depend_on_the_block_size(monkeypatch, block):
                 ), (moduli, steps, seed)
 
 
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "moduli", [(3,), (3, 7), (3, 5, 7), (3, 5, 7, 11), (3, 5, 7, 11, 13, 17)]
+)
+def test_split_walk_matches_one_shot_walk(monkeypatch, cpus, moduli):
+    # later parts walk from offset 0 on their own threads and are joined by
+    # their residue counts; a ring above 2**16 positions walks in one part
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(ring, "_WALK_BLOCK", 33)
+    monkeypatch.setattr(ring, "_PART_STEPS", 40)
+    game = ring.CombinedRingGame(moduli)
+    M = game.modulus_product
+    for steps in (79, 80, 99, *_block_edges(33), 4 * 33, 331, 1001):
+        firsts = ring._walk_parts(M, steps)
+        want = min(cpus, steps // 40) if steps >= 80 and M <= 2**16 else 1
+        assert len(firsts) - 1 == want, steps
+        assert all(first % 33 == 0 for first in firsts[:-1]) and firsts[-1] == steps
+        for seed in (1, 2):
+            report = ring.simulate_ring(game, steps, seed)
+            assert report.winning_count == oracles.simulate_ring_one_shot(
+                moduli, steps, seed
+            ), (steps, seed)
+
+
+# 2**32 mod m is 40401 for 65335 and 21696 for 21725, so about one rotation
+# word in 10**5 is redrawn; with two wheels the later part's choices start
+# past part 0's, which a walk again from word 0 would miss
+@pytest.mark.parametrize("moduli", [(65335,), (3, 21725)])
+def test_split_walk_walks_again_after_a_redraw(monkeypatch, moduli):
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(ring, "_PART_STEPS", ring._WALK_BLOCK)
+    game = ring.CombinedRingGame(moduli)
+    steps, seed = 4 * ring._WALK_BLOCK + 3, 1
+    first = ring._walk_parts(game.modulus_product, steps)[1]
+    choices, rotations = ring._Words(seed), ring._Words(seed)
+    rotations.skip(len(moduli), steps)
+    start = rotations.at
+    bounds = np.array(moduli, dtype=np.uint64)
+    rotations.bounded(bounds, first, choices.bounded(len(moduli), first))
+    assert rotations.at > start + first  # part 0 redrew a rotation word
+    walked = []
+    walk = ring.kernels.ring_walk_wins
+
+    def counted(increments, *args):
+        walked.append(increments.size)
+        return walk(increments, *args)
+
+    monkeypatch.setattr(ring.kernels, "ring_walk_wins", counted)
+    report = ring.simulate_ring(game, steps, seed)
+    assert report.winning_count == oracles.simulate_ring_one_shot(moduli, steps, seed)
+    # part 0, then the later part again, on the calling thread
+    assert sum(walked) == steps
+
+
+def test_split_walk_runs_the_traced_kernel_on_the_calling_thread_only(monkeypatch):
+    # a tracer keeps one span stack, so the later parts call ring_walk_counts
+    _usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(ring, "_PART_STEPS", ring._WALK_BLOCK)
+    threads = {"wins": set(), "counts": set()}
+    wins, counts = ring.kernels.ring_walk_wins, ring.kernels.ring_walk_counts
+
+    def on_wins(*args):
+        threads["wins"].add(threading.current_thread())
+        return wins(*args)
+
+    def on_counts(*args):
+        threads["counts"].add(threading.current_thread())
+        return counts(*args)
+
+    monkeypatch.setattr(ring.kernels, "ring_walk_wins", on_wins)
+    monkeypatch.setattr(ring.kernels, "ring_walk_counts", on_counts)
+    steps = 5 * ring._WALK_BLOCK + 1
+    report = ring.simulate_ring(ring.CombinedRingGame((3, 7)), steps, 4)
+    assert report.winning_count == oracles.simulate_ring_one_shot((3, 7), steps, 4)
+    assert threads["wins"] == {threading.main_thread()}
+    assert len(threads["counts"]) == 2
+    assert threading.main_thread() not in threads["counts"]
+
+
+def test_split_walk_raises_a_later_part_error(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(ring, "_PART_STEPS", ring._WALK_BLOCK)
+
+    def failing(*args):
+        raise MemoryError("part")
+
+    monkeypatch.setattr(ring.kernels, "ring_walk_counts", failing)
+    with pytest.raises(MemoryError, match="part"):
+        ring.simulate_ring(ring.CombinedRingGame((3, 7)), 4 * ring._WALK_BLOCK, 1)
+    assert threading.active_count() == 1
+
+
 def _position(rng):
     """Where a Generator stands: its PCG64 state and whether a spare half waits."""
     state = rng.bit_generator.state
@@ -406,10 +504,29 @@ def test_skip_passes_rejected_words_as_bounded_does(
     assert [fake.read > 3 for fake in fakes] == [True, True]
 
 
-def test_simulate_ring_reads_each_random_word_once(monkeypatch):
+@pytest.mark.parametrize("games", [2, 4])
+def test_power_of_two_draw_is_the_lemire_product(monkeypatch, games):
+    # a choice among 2 or 4 wheels is the word's top bits, one shift, where
+    # Lemire's rule takes (w * games) >> 32 and never redraws
+    edges = [0, 2**31 - 1, 2**31, 2**32 - 1]
+    random = np.random.default_rng(games).integers(0, 2**32, size=60)
+    halves = np.array([*edges, *random, *edges], dtype=np.uint64)
+    _fixed_bits(monkeypatch, halves)
+    words = ring._Words(0)
+    got = np.concatenate([words.bounded(games, 1), words.bounded(games, halves.size - 1)])
+    assert got.dtype == np.int64
+    assert np.array_equal(got, (halves * np.uint64(games)) >> np.uint64(32))
+    assert words.at == halves.size
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_ring_reads_each_random_word_once(monkeypatch, cpus):
     # the rotation stream seeks past the choices instead of drawing them, so
     # each raw word feeds two choices or two rotations; a rotation read that
-    # starts inside a raw word seeks again and re-draws it, once a block
+    # starts inside a raw word seeks again and re-draws it, once a block.  A
+    # later part's two readers seek to their first words, one of them odd here
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(ring, "_PART_STEPS", ring._WALK_BLOCK)
     drawn, seeks = [], []
 
     class CountingPCG64(np.random.PCG64):
@@ -423,18 +540,25 @@ def test_simulate_ring_reads_each_random_word_once(monkeypatch):
 
     monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
     steps = 3 * ring._WALK_BLOCK + 5
-    ring.simulate_ring(ring.CombinedRingGame((3, 7)), steps, 1)
+    assert len(ring._walk_parts(21, steps)) - 1 == cpus
+    report = ring.simulate_ring(ring.CombinedRingGame((3, 7)), steps, 1)
+    assert report.winning_count == oracles.simulate_ring_one_shot((3, 7), steps, 1)
     # half the choices plus half the rotations, a spare half each and rare redraws
-    assert steps <= sum(drawn) <= steps + 4
-    assert len(seeks) <= -(-steps // ring._WALK_BLOCK) + 1
+    assert steps <= sum(drawn) <= steps + 2 + 2 * cpus
+    assert len(seeks) <= -(-steps // ring._WALK_BLOCK) + 2 * cpus - 1
 
 
-def test_simulate_ring_memory_does_not_grow_with_steps():
-    # one-shot draws peak near 41 MB at 10**6 steps; a 2**16-step block takes 3 MB
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_ring_memory_does_not_grow_with_steps(monkeypatch, cpus):
+    # one-shot draws peak near 41 MB at 10**6 steps; a 2**16-step block takes
+    # 3 MB.  A walk of the split size has two parts, each with its own block
+    _usable_cpus(monkeypatch, cpus)
     game = ring.CombinedRingGame((3, 7))
+    steps = 10**6 if cpus == 1 else 2 * ring._PART_STEPS
+    assert len(ring._walk_parts(21, steps)) - 1 == cpus
     tracemalloc.start()
     try:
-        ring.simulate_ring(game, 10**6, 1)
+        ring.simulate_ring(game, steps, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
