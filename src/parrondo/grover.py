@@ -21,7 +21,16 @@ import numpy as np
 
 from . import kernels, statevec
 
+# Most letters in a short play's block and in a long play's (see _block).
+# Each kernel call costs about as much as 2,000 letters, so at k = 204
+# blocks of 2^14 made about 11 calls a play.  On a 2-core Xeon one play at
+# each k = 1..204 took 29-31 ms in-process against 35-36 ms in blocks of
+# 2^14 (mean over seeds 1-8, best of 5), and plays at k = 805 and 4000
+# walked about 1.0e9 letters a second against 5.7e8.  100 plays at k = 807
+# took 0.31 s with a long block of at most 2^17, 0.35-0.37 s at 2^16 and
+# 0.45-0.47 s at 2^18.
 _STREAM_BLOCK = 1 << 14
+_LONG_BLOCK = 1 << 17
 
 # Most first-block letters walked in one kernel call when plays are walked
 # together (about 10 B of working set a letter), and the fewest plays walked
@@ -45,9 +54,10 @@ MAX_TRIALS = 10**6
 # Most Grover rounds the CLI runs for one command.  It bounds the memory of
 # the rounds, about 32 B each in sweep_success, not the plays' run time:
 # grover -n 2 --strategy k=1000000 --trials 1 --letter-cap 10000000 peaks at
-# 75 MB of RSS against 36 MB at k=1 and takes 5-8 s on a 2-core Xeon (14 s
-# when every round built two fresh arrays), but a play at k draws about 4k^2
-# letters (default cap 80k^2) at about 3e8 a second: hours a play at k=10^6.
+# 74 MB of RSS against 36 MB at k=1 and takes 3.9-4.1 s on a 2-core Xeon
+# (14 s when every round built two fresh arrays), but a play at k draws about
+# 4k^2 letters (default cap 80k^2) at about 1e9 a second: an hour a play at
+# k=10^6.
 MAX_ROUNDS = 10**6
 
 __all__ = [
@@ -185,13 +195,19 @@ def _letters(words: np.ndarray, size: int) -> np.ndarray:
 
 
 def _block(target_length: int) -> int:
-    """Letters per block of a play: four mean hitting times, within [64, _STREAM_BLOCK].
+    """Letters per block of a play: four mean hitting times, or the mean for a long play.
 
-    4 * target_length * (target_length + 1) letters, rounded up to a
-    multiple of 8.
+    A short play's block is 4 * target_length * (target_length + 1)
+    letters, rounded up to a multiple of 8, within [64, _STREAM_BLOCK].  A
+    play whose mean target_length * (target_length + 1) reaches 2^15 (k from
+    91 up) draws that mean rounded down to a power of two instead, at most
+    _LONG_BLOCK.  The letters drawn past the hit average about half a
+    block, so on average they stay below half the mean.  Every play up to
+    k = 90 keeps the first rule's block.
     """
-    first = max(64, 4 * target_length * (target_length + 1))
-    return min(_STREAM_BLOCK, -(-first // 8) * 8)
+    mean = target_length * (target_length + 1)
+    short = min(_STREAM_BLOCK, -(-max(64, 4 * mean) // 8) * 8)
+    return min(_LONG_BLOCK, max(short, 1 << (mean.bit_length() - 1)))
 
 
 def _stopping_index(
@@ -199,15 +215,18 @@ def _stopping_index(
 ) -> int | None:
     """Letters consumed until the reduced length first equals target_length.
 
-    Letters are drawn in blocks of _block(target_length) letters.  A kernel
-    call costs about as much as walking 2,000 letters one by one, so the
-    first block is sized to end nearly every play, not only the average
-    one: 1.01 kernel calls per play at k = 4 and 6, against 1.40 with a
-    first block of the mean.  The few plays that outrun it draw later blocks
-    of the same size.  The letters come from rng's raw words (see _letters),
-    one word per 8 letters, so the blocks give exactly the letters of one
-    long rng.integers(0, 2, dtype=np.uint8) draw and seeded plays do not
-    depend on the block sizes.  Only the block cut short by letter_cap can
+    Letters are drawn in blocks of _block(target_length) letters, one size
+    throughout a play.  A kernel call costs about as much as walking 2,000
+    letters one by one, so a short play's block is sized to end nearly every
+    play, not only the average one: 1.01 kernel calls per play at k = 4 and
+    6, against 1.40 with a first block of the mean.  The few plays that
+    outrun it draw later blocks of the same size.  A long play's block, up
+    to 2^17 letters, is its mean rounded down to a power of two: at k = 204
+    a play makes 1.8 kernel calls, against 11 in blocks of 2^14.  The
+    letters come from rng's raw words (see _letters), one word per 8
+    letters, so the blocks give exactly the letters of one long
+    rng.integers(0, 2, dtype=np.uint8) draw and seeded plays do not depend
+    on the block sizes.  Only the block cut short by letter_cap can
     end inside a word, and no draw follows it.  The walk reaches every level
     with probability one, so letter_cap only bounds a pathological stream: a
     play that spends letter_cap letters without stopping returns None

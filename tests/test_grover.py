@@ -493,6 +493,50 @@ def test_first_block_is_four_mean_hitting_times(monkeypatch, target_k, size):
     assert _kernel_block_sizes(monkeypatch, target_k, 1, seed=2)[0] == size
 
 
+@pytest.mark.parametrize(
+    "target_k, size",
+    [(72, 1 << 14), (90, 1 << 14), (91, 1 << 15), (204, 1 << 17), (402, 1 << 17)],
+)
+def test_long_plays_draw_blocks_of_their_mean_up_to_2_17(monkeypatch, target_k, size):
+    # L(L+1) stays below 2^15 up to k = 90, so those plays keep 2^14-letter
+    # blocks; from k = 91 a play's blocks are its mean rounded down to a
+    # power of two, at most 2^17, one size throughout the play
+    assert set(_kernel_block_sizes(monkeypatch, target_k, 3, seed=5)) == {size}
+
+
+def _short_play_block(target_length):
+    # the block of every play before long plays drew blocks of their mean
+    return min(1 << 14, -(-max(64, 4 * target_length * (target_length + 1)) // 8) * 8)
+
+
+@pytest.mark.parametrize("target_k", [150, 204])
+def test_long_blocks_keep_every_stopping_index(monkeypatch, target_k):
+    # the blocks are slices of one long draw, so the block size moves no play
+    long_blocks = _per_play_indices(target_k, 6, seed=11)
+    monkeypatch.setattr(grover, "_block", _short_play_block)
+    assert _per_play_indices(target_k, 6, seed=11) == long_blocks
+    assert set(_kernel_block_sizes(monkeypatch, target_k, 1, seed=11)) == {1 << 14}
+
+
+def test_a_cap_inside_the_second_long_block_counts_the_same_plays(monkeypatch):
+    # at k = 204 a cap of 2^17 + 12,345 letters ends inside a play's second
+    # 2^17-letter block, off a multiple of 8; about half the plays hit it
+    target_k, trials, seed, cap = 204, 8, 4, (1 << 17) + 12_345
+    long_blocks = grover.waiting_time_stats(target_k, trials, seed, letter_cap=cap)
+    assert 0 < long_blocks.cap_exceeded < trials
+    children = itertools.islice(kernels.seed_children(seed), trials)
+    loops = [_stopping_index_fixed_blocks(rng, 2 * target_k, cap) for rng in children]
+    assert long_blocks.cap_exceeded == loops.count(None)
+    kept = np.array([t for t in loops if t is not None], dtype=np.float64)
+    assert (long_blocks.mean, long_blocks.variance, long_blocks.max) == (
+        float(kept.mean()),
+        float(kept.var()),
+        int(kept.max()),
+    )
+    monkeypatch.setattr(grover, "_block", _short_play_block)
+    _same_stats(grover.waiting_time_stats(target_k, trials, seed, letter_cap=cap), long_blocks)
+
+
 def test_waiting_time_stats_validation():
     with pytest.raises(ValueError):
         grover.waiting_time_stats(0, trials=10, seed=1)
