@@ -49,9 +49,9 @@ MAX_POSITIONS = 2**18
 
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
 # blocks of _WALK_BLOCK steps, so its memory does not grow with the steps, and
-# the cap bounds run time instead.  On a 2-core Xeon, 3e7 steps take about
-# 0.30-0.39 s with two wheels, whose walk is split in two parts, and about
-# 0.47-0.68 s with six, whose ring is too large to split.
+# the cap bounds run time instead.  On a shared 2-core Xeon, 3e7 steps take
+# about 0.35-0.40 s with two wheels, whose walk splits in two parts, and
+# about 0.55-0.70 s with six, whose ring is too large to split.
 MAX_STEPS = 3 * 10**7
 
 # Steps simulate_ring draws and walks at once, in each part of the walk; one
@@ -59,13 +59,15 @@ MAX_STEPS = 3 * 10**7
 _WALK_BLOCK = 2**16
 
 # A walk of at least 2 * _PART_STEPS steps on a ring of at most
-# _PART_POSITIONS positions is split into parts: one per usable CPU, but no
-# more than one per _PART_STEPS steps.  Each later part runs on its own thread
-# with its own block arrays and M int64 counts (512 KiB at most); two parts
-# raise the peak RSS of ring --steps 20000000 by about 1.9 MB.  On a 2-core
-# Xeon splitting pays from 2**19 steps on (11.3 -> 8.7 ms), so the floor is
-# set by memory, not time: the 10**6-step walks of the README and of
-# reproduce stay in one part.
+# _PART_POSITIONS positions splits in two parts, on hosts with two usable
+# CPUs or more (see _split_step); two parts is all a 2-core host can time.
+# The later part runs on one helper thread with its own block arrays and M
+# int64 counts (512 KiB at most); it raises the peak RSS of ring --steps
+# 20000000 by about 1.9 MB.  On a 2-core Xeon splitting pays from 2**19 steps
+# on (11.3 -> 8.7 ms), so the floor is set by memory, not time: the
+# 10**6-step walks of the README and of reproduce stay in one part.  The
+# later part assumes part 0 redraws no rotation word, and is walked again if
+# it does.
 _PART_STEPS = 2**21
 _PART_POSITIONS = 2**16
 
@@ -300,25 +302,25 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     rotation block that starts inside a raw word seeks once to re-draw it.
     Rings of more than MAX_POSITIONS positions are refused (see there).
 
-    A long walk on a small ring is split into contiguous parts of whole
-    blocks, one per usable CPU (see _PART_STEPS).  Part 0 walks on the
-    calling thread.  Each later part walks on its own thread from offset 0:
-    its choices start at the word where the earlier parts' choices end, and
-    its rotations at the rotations' first word plus its first step, as if no
-    earlier part redrew a rotation word.  It counts its steps on each residue
-    and keeps its end offset.  The walk is a random walk on the group Z_M
-    (Diaconis 1988, ch. 3), so the part played from position p visits its
-    residues shifted by p.  The join, in part order, adds the part's counts
-    on the residues that p moves onto the winning arc, then moves p by its
-    end offset.  If an earlier part did redraw a rotation word, the later
-    parts are walked again on the calling thread, from the true word and
-    position.  An exception in any part is raised in the caller.  The draws
-    in blocks and parts are those of one long draw, and the join is exact,
-    so neither the block size nor the part count changes the result.
+    A long walk on a small ring may split in two parts of whole blocks (see
+    _split_step).  Part 0 walks on the calling thread.  The later part walks
+    on one helper thread from offset 0: its choices start at the word where
+    part 0's choices end, and its rotations at the rotations' first word plus
+    its first step, as if part 0 redrew no rotation word.  It counts its
+    steps on each residue with ring_walk_counts, which no tracer wraps, as a
+    tracer keeps one span stack for all threads.  The walk is a random walk
+    on the group Z_M (Diaconis 1988, ch. 3), so the later part played from
+    part 0's end position p visits its residues shifted by p, and the join
+    adds its counts on the residues that p moves onto the winning arc.  If
+    part 0 did redraw a rotation word, the later part is walked again on the
+    calling thread, from the true word and position.  An exception in either
+    part is raised in the caller.  The draws in blocks and parts are those of
+    one long draw, and the join is exact, so neither the block size nor the
+    split changes the result.
 
     The walk runs in coordinates rotated by q = M // 4, starting at q: the
     winning arc [-q, q] of Z_M becomes [0, 2q], so a step wins when it lies
-    below winning_count(M) = 2q + 1.  Only a later part holds an M-sized
+    below winning_count(M) = 2q + 1.  Only the later part holds an M-sized
     array, its counts, and only on a ring of at most _PART_POSITIONS.
     """
     if steps < 1:
@@ -329,58 +331,58 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     moduli = np.array(combined.moduli, dtype=np.uint64)
     strides = (M // moduli).astype(np.int64)
     width = winning_count(M)
-    firsts = _walk_parts(M, steps)
-    # the first choice word of each part, then the rotations' first word, past every choice
-    rotations, choice_starts = _Words(seed), []
-    for first, end in zip(firsts, firsts[1:]):
-        choice_starts.append(rotations.at)
-        rotations.skip(moduli.size, end - first)
-    rotation_start = rotations.at
     walk = (M, moduli, strides)
-    parts = [
-        _Part(_Words(seed, at), _Words(seed, rotation_start + first), end - first, *walk)
-        for at, first, end in zip(choice_starts[1:], firsts[1:], firsts[2:])
-    ]
-    for part in parts:
-        part.start()
-    try:
-        wins, position = _walk(_Words(seed), rotations, firsts[1], M // 4, *walk, width)
-    finally:
-        for part in parts:
-            part.join()
-    for part in parts:
-        if isinstance(part.result, BaseException):
-            raise part.result
-    for k, part in enumerate(parts, 1):
-        if rotations.at != rotation_start + firsts[k]:
-            # an earlier part redrew a rotation word: walk the rest again from the true one
-            choices = _Words(seed, choice_starts[k])
-            more, position = _walk(choices, rotations, steps - firsts[k], position, *walk, width)
-            wins += more
-            break
-        counts, end = part.result
-        # residue r lies on the winning arc from position p when (p + r) mod M < width
-        wins += int(np.roll(counts, position)[:width].sum())
-        position = (position + end) % M
-        rotations = part.rotations
+    first = _split_step(combined.moduli, steps)
+    # the later part's first choice word, then the rotations' first word, past every choice
+    rotations = _Words(seed)
+    rotations.skip(moduli.size, first)
+    later_choices = rotations.at
+    rotations.skip(moduli.size, steps - first)
+    rotation_start = rotations.at
+    part_0 = (_Words(seed), rotations, first, M // 4, *walk, width)
+    if first == steps:
+        wins = _walk(*part_0)[0]
+    else:
+        counts, errors = np.zeros(M, dtype=np.int64), []
+
+        def walk_later():
+            try:
+                later = _Words(seed, later_choices), _Words(seed, rotation_start + first)
+                _walk(*later, steps - first, 0, *walk, counts=counts)
+            except BaseException as error:
+                errors.append(error)
+
+        helper = threading.Thread(target=walk_later, daemon=True)
+        helper.start()
+        try:
+            wins, position = _walk(*part_0)
+        finally:
+            helper.join()
+        if errors:
+            raise errors[0]
+        if rotations.at == rotation_start + first:
+            # residue r lies on the winning arc from position p when (p + r) mod M < width
+            wins += int(np.roll(counts, position)[:width].sum())
+        else:
+            # part 0 redrew a rotation word: walk the later part again from the true one
+            choices = _Words(seed, later_choices)
+            wins += _walk(choices, rotations, steps - first, position, *walk, width)[0]
     p = Fraction(wins, steps)
     return RateReport(win_probability=p, winning_count=wins)
 
 
-def _walk_parts(M, steps):
-    """The first step of each part of the walk, then steps.
+def _split_step(moduli, steps):
+    """The first step of the walk's later part, or steps if the walk is one part.
 
-    A walk splits only on a ring of at most _PART_POSITIONS positions, into
-    at most one part per usable CPU and one per _PART_STEPS steps, at
-    multiples of _WALK_BLOCK.  _PART_STEPS is at least _WALK_BLOCK, so every
+    A walk splits in two, at the middle block, with at least two usable
+    CPUs, on a ring of at most _PART_POSITIONS positions, over at least
+    2 * _PART_STEPS steps.  _PART_STEPS is at least _WALK_BLOCK, so each
     part holds at least one block.
     """
-    count = 1
-    if M <= _PART_POSITIONS and steps >= 2 * _PART_STEPS:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        count = min(cpus, steps // _PART_STEPS)
-    blocks = -(-steps // _WALK_BLOCK)
-    return [min(steps, k * blocks // count * _WALK_BLOCK) for k in range(count + 1)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or math.prod(moduli) > _PART_POSITIONS or steps < 2 * _PART_STEPS:
+        return steps
+    return -(-steps // _WALK_BLOCK) // 2 * _WALK_BLOCK
 
 
 def _walk(choices, rotations, steps, position, M, moduli, strides, width=None, counts=None):
@@ -401,30 +403,6 @@ def _walk(choices, rotations, steps, position, M, moduli, strides, width=None, c
         else:
             position = kernels.ring_walk_counts(increments, M, position, counts)
     return wins, position
-
-
-class _Part(threading.Thread):
-    """A later part of a split walk, walked on its own thread from offset 0.
-
-    Its result is (counts, end): counts[r] of its steps land on residue r,
-    and it ends at offset end.  An exception is kept as the result instead,
-    for the caller to raise.  The rotation reader is left past the part's
-    last word.  The part calls ring_walk_counts, which no tracer wraps, as a
-    tracer keeps one span stack for all threads.
-    """
-
-    def __init__(self, choices, rotations, steps, M, moduli, strides):
-        super().__init__(daemon=True)
-        self.rotations = rotations
-        self.counts = np.zeros(M, dtype=np.int64)
-        self.args = (choices, rotations, steps, 0, M, moduli, strides)
-        self.result = None
-
-    def run(self):
-        try:
-            self.result = self.counts, _walk(*self.args, counts=self.counts)[1]
-        except BaseException as error:
-            self.result = error
 
 
 def win_frequency_z(

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -968,19 +969,39 @@ def test_stdout_matches_the_recorded_digest(capsys, command):
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_cli_commands_parse():
-    # parse only: the JSON forms of these commands run against their digests
+README_TABLES = Path(__file__).resolve().parent / "readme_tables"
+
+
+def _readme_commands():
+    """The argv of each README CLI example, "parrondo" first."""
     text = README.read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = [
+    return [
         line.split("#", 1)[0].split()
         for line in block.splitlines()
         if line.startswith("parrondo ")
     ]
+
+
+def test_readme_cli_commands_parse():
+    # parse only: the JSON forms of these commands run against their digests
+    commands = _readme_commands()
     assert len(commands) == 8
     parser = cli.build_parser()
     for argv in commands:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_readme_table_examples_print_their_recorded_bytes(capsys):
+    # the seven examples that print the default table format, at their
+    # default seed; the files hold each one's stdout, so a regression in the
+    # table lines alone fails here, where the digests cover only JSON and CSV
+    tables = [argv[1:] for argv in _readme_commands() if "--format" not in argv]
+    names = [re.sub(r"[^0-9a-z]+", "-", " ".join(argv)).strip("-") + ".txt" for argv in tables]
+    assert sorted(names) == sorted(path.name for path in README_TABLES.iterdir())
+    for argv, name in zip(tables, names):
+        want = (README_TABLES / name).read_bytes().decode("utf-8")
+        assert run_cli(capsys, *argv) == (0, want, ""), name
 
 
 def test_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):

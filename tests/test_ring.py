@@ -281,25 +281,44 @@ def _usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def _halfway(steps):
+    """Where a split walk's later part starts: the first step of its middle block."""
+    return -(-steps // ring._WALK_BLOCK) // 2 * ring._WALK_BLOCK
+
+
+@pytest.mark.parametrize(
+    "moduli, steps",
+    [
+        ((3, 7), 2 * 10**7),
+        ((3, 7), 3 * 10**7),
+        ((3, 5, 7, 11, 13), 3 * 10**7),
+        ((3, 7), 2 * ring._PART_STEPS),
+        ((3, 7), 2 * ring._PART_STEPS - 1),
+    ],
+)
+def test_a_long_walk_splits_at_its_middle_block(monkeypatch, moduli, steps):
+    # the monte-carlo walk and the CI walks, at the real block and part sizes
+    _usable_cpus(monkeypatch, 2)
+    split = steps >= 2 * ring._PART_STEPS
+    assert ring._split_step(moduli, steps) == (_halfway(steps) if split else steps)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize(
     "moduli", [(3,), (3, 7), (3, 5, 7), (3, 5, 7, 11), (3, 5, 7, 11, 13, 17)]
 )
 def test_split_walk_matches_one_shot_walk(monkeypatch, cpus, moduli):
-    # later parts walk from offset 0 on their own threads and are joined by
-    # their residue counts; a ring above 2**16 positions walks in one part
+    # the later part walks from offset 0 on its own thread and is joined by
+    # its residue counts; a ring above 2**16 positions walks in one part
     _usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(ring, "_WALK_BLOCK", 33)
     monkeypatch.setattr(ring, "_PART_STEPS", 40)
-    game = ring.CombinedRingGame(moduli)
-    M = game.modulus_product
+    M = math.prod(moduli)
     for steps in (79, 80, 99, *_block_edges(33), 4 * 33, 331, 1001):
-        firsts = ring._walk_parts(M, steps)
-        want = min(cpus, steps // 40) if steps >= 80 and M <= 2**16 else 1
-        assert len(firsts) - 1 == want, steps
-        assert all(first % 33 == 0 for first in firsts[:-1]) and firsts[-1] == steps
+        split = cpus > 1 and steps >= 80 and M <= 2**16
+        assert ring._split_step(moduli, steps) == (_halfway(steps) if split else steps), steps
         for seed in (1, 2):
-            report = ring.simulate_ring(game, steps, seed)
+            report = ring.simulate_ring(ring.CombinedRingGame(moduli), steps, seed)
             assert report.winning_count == oracles.simulate_ring_one_shot(
                 moduli, steps, seed
             ), (steps, seed)
@@ -314,7 +333,7 @@ def test_split_walk_walks_again_after_a_redraw(monkeypatch, moduli):
     monkeypatch.setattr(ring, "_PART_STEPS", ring._WALK_BLOCK)
     game = ring.CombinedRingGame(moduli)
     steps, seed = 4 * ring._WALK_BLOCK + 3, 1
-    first = ring._walk_parts(game.modulus_product, steps)[1]
+    first = ring._split_step(moduli, steps)
     choices, rotations = ring._Words(seed), ring._Words(seed)
     rotations.skip(len(moduli), steps)
     start = rotations.at
@@ -336,8 +355,9 @@ def test_split_walk_walks_again_after_a_redraw(monkeypatch, moduli):
 
 
 def test_split_walk_runs_the_traced_kernel_on_the_calling_thread_only(monkeypatch):
-    # a tracer keeps one span stack, so the later parts call ring_walk_counts
-    _usable_cpus(monkeypatch, 3)
+    # a tracer keeps one span stack, so the later part calls ring_walk_counts,
+    # on one helper thread however many CPUs there are
+    _usable_cpus(monkeypatch, 4)
     monkeypatch.setattr(ring, "_PART_STEPS", ring._WALK_BLOCK)
     threads = {"wins": set(), "counts": set()}
     wins, counts = ring.kernels.ring_walk_wins, ring.kernels.ring_walk_counts
@@ -356,7 +376,7 @@ def test_split_walk_runs_the_traced_kernel_on_the_calling_thread_only(monkeypatc
     report = ring.simulate_ring(ring.CombinedRingGame((3, 7)), steps, 4)
     assert report.winning_count == oracles.simulate_ring_one_shot((3, 7), steps, 4)
     assert threads["wins"] == {threading.main_thread()}
-    assert len(threads["counts"]) == 2
+    assert len(threads["counts"]) == 1
     assert threading.main_thread() not in threads["counts"]
 
 
@@ -523,7 +543,7 @@ def test_power_of_two_draw_is_the_lemire_product(monkeypatch, games):
 def test_simulate_ring_reads_each_random_word_once(monkeypatch, cpus):
     # the rotation stream seeks past the choices instead of drawing them, so
     # each raw word feeds two choices or two rotations; a rotation read that
-    # starts inside a raw word seeks again and re-draws it, once a block.  A
+    # starts inside a raw word seeks again and re-draws it, once a block.  The
     # later part's two readers seek to their first words, one of them odd here
     _usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(ring, "_PART_STEPS", ring._WALK_BLOCK)
@@ -540,7 +560,7 @@ def test_simulate_ring_reads_each_random_word_once(monkeypatch, cpus):
 
     monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
     steps = 3 * ring._WALK_BLOCK + 5
-    assert len(ring._walk_parts(21, steps)) - 1 == cpus
+    assert (ring._split_step((3, 7), steps) < steps) == (cpus == 2)
     report = ring.simulate_ring(ring.CombinedRingGame((3, 7)), steps, 1)
     assert report.winning_count == oracles.simulate_ring_one_shot((3, 7), steps, 1)
     # half the choices plus half the rotations, a spare half each and rare redraws
@@ -555,7 +575,7 @@ def test_simulate_ring_memory_does_not_grow_with_steps(monkeypatch, cpus):
     _usable_cpus(monkeypatch, cpus)
     game = ring.CombinedRingGame((3, 7))
     steps = 10**6 if cpus == 1 else 2 * ring._PART_STEPS
-    assert len(ring._walk_parts(21, steps)) - 1 == cpus
+    assert (ring._split_step((3, 7), steps) < steps) == (cpus == 2)
     tracemalloc.start()
     try:
         ring.simulate_ring(game, steps, 1)
