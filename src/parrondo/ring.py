@@ -50,8 +50,8 @@ MAX_POSITIONS = 2**18
 # Most Monte Carlo steps the CLI accepts.  simulate_ring streams its walk in
 # blocks of _WALK_BLOCK steps, so its memory does not grow with the steps, and
 # the cap bounds run time instead.  On a shared 2-core Xeon, 3e7 steps take
-# about 0.35-0.40 s with two wheels, whose walk splits in two parts, and
-# about 0.55-0.70 s with six, whose ring is too large to split.
+# about 0.26-0.31 s in-process with two wheels, whose walk splits in two
+# parts, and about 0.37-0.50 s with six, whose ring is too large to split.
 MAX_STEPS = 3 * 10**7
 
 # Steps simulate_ring draws and walks at once, in each part of the walk; one
@@ -66,8 +66,7 @@ _WALK_BLOCK = 2**16
 # 20000000 by about 1.9 MB.  On a 2-core Xeon splitting pays from 2**19 steps
 # on (11.3 -> 8.7 ms), so the floor is set by memory, not time: the
 # 10**6-step walks of the README and of reproduce stay in one part.  The
-# later part assumes part 0 redraws no rotation word, and is walked again if
-# it does.
+# later part assumes part 0 redraws no word, and is walked again if it does.
 _PART_STEPS = 2**21
 _PART_POSITIONS = 2**16
 
@@ -223,30 +222,6 @@ class _Words:
         raw = self._bit_generator.random_raw(self._raw_read - first)
         return raw.astype("<u8", copy=False).view("<u4")[half : half + count]
 
-    def skip(self, bound, count):
-        """Move at where bounded(bound, count) moves it, drawing no value.
-
-        A scalar bound of 1 takes no word.  Where Lemire's threshold
-        (2**32 - bound) % bound is 0, as for 2 and 4, no word is redrawn and
-        at moves by count.  Otherwise only the redrawn words decide how far
-        at moves, so the low halves w * bound mod 2**32 are scanned for them,
-        _WALK_BLOCK words at a time.
-        """
-        if bound == 1:
-            return
-        threshold = (2**32 - bound) % bound
-        if threshold == 0:
-            self.at += count
-            return
-        while count:
-            words = self._read(min(count, _WALK_BLOCK))
-            low = np.multiply(words, np.uint32(bound))  # wraps mod 2**32
-            accepted = words.size
-            if low.min() < threshold:
-                accepted = int((low < threshold).argmax())
-            self.at += accepted + (accepted < words.size)
-            count -= accepted
-
     def bounded(self, bound, size, index=None):
         """size int64 draws of integers(0, bound), or of integers(0, bound[index]).
 
@@ -298,25 +273,31 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     would draw them.  The draws read PCG64's raw words and redraw by Lemire's
     rule (see _Words), so they match integers exactly.  The walk runs in
     blocks of _WALK_BLOCK steps, the choices read from word 0 of that stream
-    and the rotations from where _Words.skip leaves it, past the choices; a
-    rotation block that starts inside a raw word seeks once to re-draw it.
-    Rings of more than MAX_POSITIONS positions are refused (see there).
+    and the rotations from past the choices, as if no choice word were
+    redrawn: a choice takes one word among two wheels or more, and none with
+    one wheel.  If the choices end anywhere else, the walk is walked once
+    more with the rotations from where they end; the choices do not depend
+    on the rotations, so they end there again.  A choice among G wheels is
+    redrawn with odds ((2**32 - G) % G) / 2**32: never for 1, 2 or 4 wheels,
+    and 2**-30 at most, for 6.  A rotation block that starts inside a raw
+    word seeks once to re-draw it.  Rings of more than MAX_POSITIONS
+    positions are refused (see there).
 
     A long walk on a small ring may split in two parts of whole blocks (see
     _split_step).  Part 0 walks on the calling thread.  The later part walks
-    on one helper thread from offset 0: its choices start at the word where
-    part 0's choices end, and its rotations at the rotations' first word plus
-    its first step, as if part 0 redrew no rotation word.  It counts its
-    steps on each residue with ring_walk_counts, which no tracer wraps, as a
-    tracer keeps one span stack for all threads.  The walk is a random walk
-    on the group Z_M (Diaconis 1988, ch. 3), so the later part played from
-    part 0's end position p visits its residues shifted by p, and the join
-    adds its counts on the residues that p moves onto the winning arc.  If
-    part 0 did redraw a rotation word, the later part is walked again on the
-    calling thread, from the true word and position.  An exception in either
-    part is raised in the caller.  The draws in blocks and parts are those of
-    one long draw, and the join is exact, so neither the block size nor the
-    split changes the result.
+    on one helper thread from offset 0: its choices start at the choice word
+    of its first step, and its rotations at the rotations' first word plus
+    that step, as if part 0 redrew no word.  It counts its steps on each
+    residue with ring_walk_counts, which no tracer wraps, as a tracer keeps
+    one span stack for all threads.  The walk is a random walk on the group
+    Z_M (Diaconis 1988, ch. 3), so the later part played from part 0's end
+    position p visits its residues shifted by p, and the join adds its counts
+    on the residues that p moves onto the winning arc.  If part 0's choices or
+    rotations end anywhere else, the later part is walked again on the calling
+    thread, from the true words and position.  An exception in either part is
+    raised in the caller.  The draws in blocks and parts are those of one long
+    draw, and the join is exact, so neither the block size nor the split
+    changes the result.
 
     The walk runs in coordinates rotated by q = M // 4, starting at q: the
     winning arc [-q, q] of Z_M becomes [0, 2q], so a step wins when it lies
@@ -333,21 +314,20 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
     width = winning_count(M)
     walk = (M, moduli, strides)
     first = _split_step(combined.moduli, steps)
-    # the later part's first choice word, then the rotations' first word, past every choice
-    rotations = _Words(seed)
-    rotations.skip(moduli.size, first)
-    later_choices = rotations.at
-    rotations.skip(moduli.size, steps - first)
-    rotation_start = rotations.at
-    part_0 = (_Words(seed), rotations, first, M // 4, *walk, width)
-    if first == steps:
-        wins = _walk(*part_0)[0]
-    else:
+    words = int(moduli.size > 1)  # a choice takes one word, unless it is redrawn
+
+    def play(start):
+        """Walk with the rotations from word start: (winning steps, word past the choices)."""
+        choices, rotations = _Words(seed), _Words(seed, start)
+        part_0 = (choices, rotations, first, M // 4, *walk, width)
+        if first == steps:
+            return _walk(*part_0)[0], choices.at
+        later_start = (words * first, start + first)
+        later = [_Words(seed, at) for at in later_start]
         counts, errors = np.zeros(M, dtype=np.int64), []
 
         def walk_later():
             try:
-                later = _Words(seed, later_choices), _Words(seed, rotation_start + first)
                 _walk(*later, steps - first, 0, *walk, counts=counts)
             except BaseException as error:
                 errors.append(error)
@@ -360,13 +340,19 @@ def simulate_ring(combined: CombinedRingGame, steps: int, seed: int) -> RateRepo
             helper.join()
         if errors:
             raise errors[0]
-        if rotations.at == rotation_start + first:
+        if (choices.at, rotations.at) == later_start:
             # residue r lies on the winning arc from position p when (p + r) mod M < width
-            wins += int(np.roll(counts, position)[:width].sum())
-        else:
-            # part 0 redrew a rotation word: walk the later part again from the true one
-            choices = _Words(seed, later_choices)
-            wins += _walk(choices, rotations, steps - first, position, *walk, width)[0]
+            return wins + int(np.roll(counts, position)[:width].sum()), later[0].at
+        # part 0 redrew a word: walk the later part again from the true ones
+        wins += _walk(choices, rotations, steps - first, position, *walk, width)[0]
+        return wins, choices.at
+
+    start = words * steps
+    wins, end = play(start)
+    if end != start:
+        # a choice word was redrawn, so the rotations start at end; the
+        # choices do not depend on that, so this walk ends there too
+        wins = play(end)[0]
     p = Fraction(wins, steps)
     return RateReport(win_probability=p, winning_count=wins)
 

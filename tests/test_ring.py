@@ -334,9 +334,10 @@ def test_split_walk_walks_again_after_a_redraw(monkeypatch, moduli):
     game = ring.CombinedRingGame(moduli)
     steps, seed = 4 * ring._WALK_BLOCK + 3, 1
     first = ring._split_step(moduli, steps)
-    choices, rotations = ring._Words(seed), ring._Words(seed)
-    rotations.skip(len(moduli), steps)
-    start = rotations.at
+    # the rotations start past the choices: one word each among two wheels,
+    # none for one wheel, and neither 2 nor 1 redraws
+    start = steps if len(moduli) > 1 else 0
+    choices, rotations = ring._Words(seed), ring._Words(seed, start)
     bounds = np.array(moduli, dtype=np.uint64)
     rotations.bounded(bounds, first, choices.bounded(len(moduli), first))
     assert rotations.at > start + first  # part 0 redrew a rotation word
@@ -449,43 +450,35 @@ def test_words_draw_what_integers_draws(seed, calls):
     assert np.array_equal(words.bounded(2**32, 3), rng.integers(0, 2**32, size=3))
 
 
-@settings(deadline=None, max_examples=200)
-@given(
-    st.integers(0, 2**64 - 1),
-    st.integers(1, 6),
-    st.integers(0, 3),
-    st.one_of(st.integers(0, 300), st.integers(2**16 - 2, 2**16 + 2)),
-)
-@example(0, 2, 1, 7)  # a pending spare half, then an odd count
-@example(1, 4, 0, 8)
-@example(2, 3, 1, 0)
-@example(3, 6, 0, 2**16 + 1)  # the scan crosses a _WALK_BLOCK boundary
-def test_skip_leaves_the_stream_where_integers_leaves_it(seed, games, before, count):
-    # simulate_ring's rotation stream starts where the seed's choices end
+@pytest.mark.parametrize("games", range(1, 7))
+@pytest.mark.parametrize("count", [7, 2**16 + 1])
+def test_choices_end_where_simulate_ring_starts_its_rotations(games, count):
+    # a choice takes one word among two wheels or more and none for one
+    # wheel, so unless a choice is redrawn the rotations start at word
+    # int(games > 1) * count, where integers leaves the seed's stream
+    seed = 10 * games + count % 10
     rng = np.random.default_rng(seed)
-    words = ring._Words(seed)
-    assert np.array_equal(words.bounded(2**32, before), rng.integers(0, 2**32, size=before))
-    rng.integers(0, games, size=count)
-    words.skip(games, count)
-    assert _position(rng) == _position_at(seed, words.at)
-    assert np.array_equal(words.bounded(2**32, 5), rng.integers(0, 2**32, size=5))
+    choices = ring._Words(seed)
+    assert np.array_equal(choices.bounded(games, count), rng.integers(0, games, size=count))
+    assert choices.at == int(games > 1) * count
+    assert _position(rng) == _position_at(seed, choices.at)
+    rotations = ring._Words(seed, choices.at)
+    assert np.array_equal(rotations.bounded(2**32, 5), rng.integers(0, 2**32, size=5))
 
 
 class _FixedBits:
     """A stand-in for PCG64 whose raw uint64 words come, low half first, from halves.
 
     Its state is a cursor into those words, so restoring the seeded state
-    rewinds it; read is the furthest raw word handed out.
+    rewinds it.
     """
 
     def __init__(self, halves):
         self.raw = np.array(halves, dtype="<u4").view("<u8")
         self.state = 0
-        self.read = 0
 
     def random_raw(self, size):
         self.state += size
-        self.read = max(self.read, self.state)
         return self.raw[self.state - size : self.state]
 
     def advance(self, delta):
@@ -493,35 +486,8 @@ class _FixedBits:
 
 
 def _fixed_bits(monkeypatch, halves):
-    """Make every new PCG64 a _FixedBits over halves; returns those made."""
-    made = []
-
-    def make(seed):
-        made.append(_FixedBits(halves))
-        return made[-1]
-
-    monkeypatch.setattr(np.random, "PCG64", make)
-    return made
-
-
-@pytest.mark.parametrize("games, rejected", [(3, 0), (5, 0), (6, 0), (6, 2**31), (6, 715827883)])
-@pytest.mark.parametrize("before", [0, 1])
-@pytest.mark.parametrize("count", [5, 6])
-def test_skip_passes_rejected_words_as_bounded_does(
-    monkeypatch, games, rejected, before, count
-):
-    assert rejected * games % 2**32 < (2**32 - games) % games
-    halves = np.arange(1, 41) * 97_654_321 % 2**32
-    halves[[1, 2, 6]] = rejected  # rejected words early, back to back, and after a spare half
-    fakes = _fixed_bits(monkeypatch, halves)
-    want, got = ring._Words(0), ring._Words(0)
-    for words in (want, got):
-        words.bounded(2**32, before)
-    want.bounded(games, count)
-    got.skip(games, count)
-    assert np.array_equal(got.bounded(2**32, 9), want.bounded(2**32, 9))
-    # both streams read the fixed words, past raw word 3 that holds half 6
-    assert [fake.read > 3 for fake in fakes] == [True, True]
+    """Make every new PCG64 a _FixedBits over halves."""
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: _FixedBits(halves))
 
 
 @pytest.mark.parametrize("games", [2, 4])
@@ -539,14 +505,72 @@ def test_power_of_two_draw_is_the_lemire_product(monkeypatch, games):
     assert words.at == halves.size
 
 
+def _fixed_walk_wins(moduli, steps):
+    """Winning steps of a walk that one _Words reader draws: every choice, then every rotation."""
+    words = ring._Words(0)
+    game = words.bounded(len(moduli), steps)
+    rotations = words.bounded(np.array(moduli, dtype=np.uint64), steps, game)
+    M = math.prod(moduli)
+    positions = np.cumsum(rotations * (M // np.array(moduli))[game]) % M
+    return int(np.count_nonzero((4 * positions < M) | (4 * positions > 3 * M)))
+
+
+# 2**32 mod G is 1 for 3 wheels and 4 for 6, so these choice words are
+# redrawn; the rotations then start one word later than the walk first assumes
+@pytest.mark.parametrize(
+    "moduli, rejected",
+    [((3, 5, 7), 0), ((3, 5, 7, 11, 13, 17), 2**31), ((3, 5, 7, 11, 13, 17), 715827883)],
+)
+@pytest.mark.parametrize("in_part_0", [True, False])
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_simulate_ring_reads_each_random_word_once(monkeypatch, cpus):
+def test_split_walk_walks_again_after_a_choice_redraw(
+    monkeypatch, moduli, rejected, in_part_0, cpus
+):
+    games = len(moduli)
+    assert rejected * games % 2**32 < (2**32 - games) % games
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(ring, "_WALK_BLOCK", 5)
+    monkeypatch.setattr(ring, "_PART_STEPS", 8)
+    monkeypatch.setattr(ring, "_PART_POSITIONS", ring.MAX_POSITIONS)
+    steps = 23
+    first = ring._split_step(moduli, steps)
+    assert first == (10 if cpus == 2 else steps)
+    halves = np.arange(1, 81) * 97_654_321 % 2**32
+    halves[3 if in_part_0 else 14] = rejected  # a choice word of part 0 or of the later part
+    _fixed_bits(monkeypatch, halves)
+    want = _fixed_walk_wins(moduli, steps)
+    walked = []
+    wins, counts = ring.kernels.ring_walk_wins, ring.kernels.ring_walk_counts
+
+    def on_wins(increments, *args):
+        walked.append(increments.size)
+        return wins(increments, *args)
+
+    def on_counts(increments, *args):
+        walked.append(increments.size)
+        return counts(increments, *args)
+
+    monkeypatch.setattr(ring.kernels, "ring_walk_wins", on_wins)
+    monkeypatch.setattr(ring.kernels, "ring_walk_counts", on_counts)
+    report = ring.simulate_ring(ring.CombinedRingGame(moduli), steps, 0)
+    assert report.winning_count == want
+    # the whole walk twice, from the assumed rotation start and the true one;
+    # a part 0 redraw also walks each later part again after part 0
+    again = steps - first if in_part_0 else 0
+    assert sum(walked) == 2 * (steps + again)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("moduli", [(3, 7), (3, 5, 7), (3, 5, 7, 11, 13, 17)])
+def test_simulate_ring_reads_each_random_word_once(monkeypatch, cpus, moduli):
     # the rotation stream seeks past the choices instead of drawing them, so
-    # each raw word feeds two choices or two rotations; a rotation read that
-    # starts inside a raw word seeks again and re-draws it, once a block.  The
-    # later part's two readers seek to their first words, one of them odd here
+    # each raw word feeds two choices or two rotations, whether or not a
+    # choice could be redrawn; a rotation read that starts inside a raw word
+    # seeks again and re-draws it, once a block.  The later part's two
+    # readers seek to their first words, one of them odd here
     _usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(ring, "_PART_STEPS", ring._WALK_BLOCK)
+    monkeypatch.setattr(ring, "_PART_POSITIONS", ring.MAX_POSITIONS)
     drawn, seeks = [], []
 
     class CountingPCG64(np.random.PCG64):
@@ -560,9 +584,9 @@ def test_simulate_ring_reads_each_random_word_once(monkeypatch, cpus):
 
     monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
     steps = 3 * ring._WALK_BLOCK + 5
-    assert (ring._split_step((3, 7), steps) < steps) == (cpus == 2)
-    report = ring.simulate_ring(ring.CombinedRingGame((3, 7)), steps, 1)
-    assert report.winning_count == oracles.simulate_ring_one_shot((3, 7), steps, 1)
+    assert (ring._split_step(moduli, steps) < steps) == (cpus == 2)
+    report = ring.simulate_ring(ring.CombinedRingGame(moduli), steps, 1)
+    assert report.winning_count == oracles.simulate_ring_one_shot(moduli, steps, 1)
     # half the choices plus half the rotations, a spare half each and rare redraws
     assert steps <= sum(drawn) <= steps + 2 + 2 * cpus
     assert len(seeks) <= -(-steps // ring._WALK_BLOCK) + 2 * cpus - 1
