@@ -355,15 +355,12 @@ def _resolve_strategy(text: str, n: int) -> tuple[str, int]:
     )
 
 
-def _null_nan(value):
-    """The report with NaN floats (moments over zero plays) replaced by None."""
-    if isinstance(value, dict):
-        return {k: _null_nan(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_null_nan(v) for v in value]
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
+def _moment(value: float) -> float | None:
+    """A mean or variance for the report: None over zero finished plays.
+
+    Such a moment is NaN, which strict JSON lacks; the table prints it as nan.
+    """
+    return None if math.isnan(value) else value
 
 
 def cmd_grover(args) -> Output:
@@ -402,8 +399,8 @@ def cmd_grover(args) -> Output:
         "verdict": verdict,
         "waiting": {
             "trials": trials,
-            "mean": stats.mean,
-            "variance": stats.variance,
+            "mean": _moment(stats.mean),
+            "variance": _moment(stats.variance),
             "max": stats.max,
             "cap_exceeded": stats.cap_exceeded,
             "letter_cap": stats.letter_cap,
@@ -428,40 +425,27 @@ def cmd_grover(args) -> Output:
     capped = [f"{stats.cap_exceeded} of {trials} plays at k={k}"] if stats.cap_exceeded else []
     csv_rows = None
     if args.sweep:
-        sweep = []
+        header = ["k", "closed_form_success", "simulated_success", "mean_waiting_time"]
+        report["sweep"], csv_rows = [], [header]
+        table.append("sweep (k, closed form, statevec, mean waiting time):")
         for kk, sim_kk in enumerate(successes[: sweep_top + 1]):
             closed_kk = grover.success_after_k(n, kk)
-            if kk == 0:
-                mean_wait = 0.0
-            else:
+            mean_wait = 0.0
+            if kk:
                 row_stats = grover.waiting_time_stats(kk, trials, seed + kk, letter_cap)
                 mean_wait = row_stats.mean
                 if row_stats.cap_exceeded:
                     capped.append(
                         f"{row_stats.cap_exceeded} of {trials} plays in sweep row k={kk}"
                     )
-            sweep.append(
-                {
-                    "k": kk,
-                    "closed_form_success": closed_kk,
-                    "simulated_success": sim_kk,
-                    "mean_waiting_time": mean_wait,
-                }
-            )
-        report["sweep"] = sweep
-        header = ["k", "closed_form_success", "simulated_success", "mean_waiting_time"]
-        csv_rows = [header] + [[row[h] for h in header] for row in sweep]
-        table.append("sweep (k, closed form, statevec, mean waiting time):")
-        for row in sweep:
-            table.append(
-                f"  k={row['k']:3d}  {row['closed_form_success']:.9f}  "
-                f"{row['simulated_success']:.9f}  {row['mean_waiting_time']:.3f}"
-            )
+            row = [kk, closed_kk, sim_kk, _moment(mean_wait)]
+            report["sweep"].append(dict(zip(header, row)))
+            csv_rows.append(row)
+            table.append(f"  k={kk:3d}  {closed_kk:.9f}  {sim_kk:.9f}  {mean_wait:.3f}")
 
     if capped:
         print(f"letter cap hit: {'; '.join(capped)}", file=sys.stderr)
-    # only a waiting time over zero finished plays is NaN, which strict JSON lacks
-    return Output(_null_nan(report), table, EXIT_CAP if capped else EXIT_OK, csv_rows)
+    return Output(report, table, EXIT_CAP if capped else EXIT_OK, csv_rows)
 
 
 def cmd_reproduce(args) -> Output:

@@ -63,10 +63,13 @@ _WALK_BLOCK = 2**16
 # CPUs or more (see _split_step); two parts is all a 2-core host can time.
 # The later part runs on one helper thread with its own block arrays and M
 # int64 counts (512 KiB at most); it raises the peak RSS of ring --steps
-# 20000000 by about 1.9 MB.  On a 2-core Xeon splitting pays from 2**19 steps
-# on (11.3 -> 8.7 ms), so the floor is set by memory, not time: the
-# 10**6-step walks of the README and of reproduce stay in one part.  The
-# later part assumes part 0 redraws no word, and is walked again if it does.
+# 20000000 by about 1.9 MB.  Below 2 * _PART_STEPS a split saves a few ms
+# at most, and only while the host's other core is free: on a shared 2-core
+# Xeon a forced split of the (3,7) walk at 10**6 or 2**21 steps was faster
+# in anywhere from 1 to 31 of 31 paired in-process runs, from one run to the
+# next.  So the floor is set by time as well as memory: the 10**6-step walks
+# of the README and of reproduce stay in one part.  The later part assumes
+# part 0 redraws no word, and is walked again if it does.
 _PART_STEPS = 2**21
 _PART_POSITIONS = 2**16
 

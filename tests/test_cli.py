@@ -478,26 +478,6 @@ def test_default_letter_cap_grows_past_ten_million_at_18_qubits(capsys):
     assert '"letter_cap": 13008840' in out
 
 
-def test_only_the_grover_report_is_rewritten_for_nan(capsys, monkeypatch):
-    reports = []
-    null_nan = cli._null_nan
-
-    def spy(value):
-        # the recursive calls on a report's parts carry no schema key
-        if isinstance(value, dict) and "schema" in value:
-            reports.append(value["command"])
-        return null_nan(value)
-
-    monkeypatch.setattr(cli, "_null_nan", spy)
-    for argv in (
-        ["ring", "--moduli", "3,7"],
-        ["bv", "-n", "3"],
-        ["grover", "-n", "3", "--trials", "5"],
-    ):
-        assert run_cli(capsys, *argv, "--format", "json")[0] == 0
-    assert reports == ["grover"]
-
-
 def test_grover_csv_leaves_the_moments_of_zero_plays_empty(capsys):
     code, out, _ = run_cli(
         capsys, "grover", "-n", "4", "--letter-cap", "1", "--trials", "5", "--format", "csv"
@@ -505,6 +485,19 @@ def test_grover_csv_leaves_the_moments_of_zero_plays_empty(capsys):
     assert code == 3
     assert "waiting.mean,\n" in out
     assert "waiting.variance,\n" in out
+
+
+def test_grover_sweep_csv_leaves_the_means_of_zero_plays_empty(capsys):
+    # a row's mean over zero plays is an empty cell, as JSON prints null for it
+    code, out, _ = run_cli(
+        capsys, "grover", "-n", "2", "--sweep", "--letter-cap", "1", "--trials", "3",
+        "--format", "csv",
+    )
+    assert code == 3
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(k) for k in range(grover.canonical_k(2) + 3)]
+    assert rows[0][3] == "0.0"
+    assert [row[3] for row in rows[1:]] == [""] * (len(rows) - 1)
 
 
 def test_grover_json_is_strict_when_every_play_hits_the_cap(capsys):
@@ -688,11 +681,27 @@ def test_grover_sweep_csv_columns(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "k,closed_form_success,simulated_success,mean_waiting_time"
-    assert len(lines) == grover_sweep_length()
+    assert len(lines) == grover.canonical_k(3) + 3 + 1  # k = 0..canonical+2, plus header
 
 
-def grover_sweep_length():
-    return grover.canonical_k(3) + 3 + 1  # k = 0..canonical+2, plus header
+def test_grover_sweep_rows_agree_in_every_format(capsys):
+    argv = ["grover", "-n", "3", "--sweep", "--trials", "10", "--seed", "2", "--format"]
+    outs = {}
+    for fmt in cli.FORMATS:
+        code, outs[fmt], _ = run_cli(capsys, *argv, fmt)
+        assert code == 0
+    header = ["k", "closed_form_success", "simulated_success", "mean_waiting_time"]
+    rows = [[row[h] for h in header] for row in json.loads(outs["json"])["sweep"]]
+    assert [row[0] for row in rows] == list(range(grover.canonical_k(3) + 3))
+    assert [line.split(",") for line in outs["csv"].splitlines()] == [header] + [
+        [str(k), repr(closed), repr(simulated), repr(wait)] for k, closed, simulated, wait in rows
+    ]
+    table = outs["table"].splitlines()
+    start = table.index("sweep (k, closed form, statevec, mean waiting time):") + 1
+    assert table[start:] == [
+        f"  k={k:3d}  {closed:.9f}  {simulated:.9f}  {wait:.3f}"
+        for k, closed, simulated, wait in rows
+    ]
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
